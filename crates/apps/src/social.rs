@@ -8,11 +8,10 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A chat message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChatMessage {
     /// Sender handle.
     pub from: String,
@@ -23,7 +22,7 @@ pub struct ChatMessage {
 }
 
 /// The social/chat application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocialApp {
     /// Host the application is served from.
     pub host: String,

@@ -10,11 +10,10 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An email message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Email {
     /// Sender address.
     pub from: String,
@@ -27,7 +26,7 @@ pub struct Email {
 }
 
 /// One user's mailbox.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Mailbox {
     /// Received messages.
     pub inbox: Vec<Email>,
@@ -38,7 +37,7 @@ pub struct Mailbox {
 }
 
 /// The web-mail application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebMailApp {
     /// Host the application is served from.
     pub host: String,

@@ -1054,11 +1054,8 @@ mod distribute {
             if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
                 // A torn pipe write and a garbled line look the same to the
                 // coordinator: a strict prefix that can never parse whole.
-                let mut cut = faults.as_ref().expect("fault implies plan").garble_point(reply.len());
-                while !reply.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                reply.truncate(cut);
+                let plan = faults.as_ref().expect("fault implies plan");
+                reply.truncate(plan.garble(&reply).len());
             }
             if writeln!(stdout, "{reply}").and_then(|()| stdout.flush()).is_err() {
                 return ExitCode::FAILURE;

@@ -285,8 +285,9 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         .expect("shard-worker spawns");
     {
         let mut stdin = child.stdin.take().expect("worker stdin");
-        // One valid assignment (APs [1, 3) of the 4-AP campaign), then two
-        // malformed lines; the worker must answer all three and exit on EOF.
+        // One valid assignment (APs [1, 3) of the 4-AP campaign), then three
+        // malformed lines; the worker must answer all four and exit on EOF.
+        // The last is a nesting bomb that once overflowed the stack (exit 134).
         writeln!(
             stdin,
             "{}",
@@ -299,12 +300,13 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         .expect("write assignment");
         writeln!(stdin, "{{\"op\":\"fly\"}}").expect("write bad op");
         writeln!(stdin, "not json").expect("write garbage");
+        writeln!(stdin, "{}", "[".repeat(100_000)).expect("write nesting bomb");
     }
     let output = child.wait_with_output().expect("worker exits");
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();
-    assert_eq!(replies.len(), 3, "one reply line per assignment: {stdout}");
+    assert_eq!(replies.len(), 4, "one reply line per assignment: {stdout}");
     assert!(
         replies[0].contains("\"type\":\"shard_result\"")
             && replies[0].contains("\"first_ap\":1")
@@ -322,6 +324,11 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         replies[2].contains("\"type\":\"error\"") && replies[2].contains("not valid JSON"),
         "got: {}",
         replies[2]
+    );
+    assert!(
+        replies[3].contains("\"type\":\"error\"") && replies[3].contains("nesting deeper"),
+        "got: {}",
+        replies[3]
     );
 }
 

@@ -22,10 +22,9 @@ use mp_httpsim::message::{Request, Response, StatusCode};
 use mp_httpsim::sri::{self, SriOutcome};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 
 /// Where the bytes of a fetch came from (or why it was blocked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchSource {
     /// Served fresh from the HTTP cache without any network traffic.
     HttpCache,
@@ -56,7 +55,7 @@ impl FetchSource {
 }
 
 /// One entry of the browser's fetch log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchRecord {
     /// The URL that was requested (after HSTS upgrading).
     pub url: Url,

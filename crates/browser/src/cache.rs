@@ -13,11 +13,10 @@ use crate::profile::{BrowserProfile, EvictionBehaviour};
 use mp_httpsim::caching::{CachePolicy, Freshness};
 use mp_httpsim::message::Response;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// A stored cache entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
     /// The cached response.
     pub response: Response,

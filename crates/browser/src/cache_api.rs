@@ -8,11 +8,10 @@
 
 use mp_httpsim::message::Response;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-origin, script-controlled response storage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheApiStorage {
     /// origin string -> cache name -> url key -> response
     stores: BTreeMap<String, BTreeMap<String, BTreeMap<String, Response>>>,

@@ -4,12 +4,11 @@
 //! Data" row), and the C&C layer can use it to persist command state between
 //! page loads. Storage is per-origin, exactly like the real API.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-origin key/value storage (the `localStorage` half; `sessionStorage`
 /// is the same structure cleared on browser restart).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OriginStorage {
     data: BTreeMap<String, BTreeMap<String, String>>,
 }

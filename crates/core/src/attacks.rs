@@ -15,10 +15,9 @@ use mp_apps::webmail::WebMailApp;
 use mp_browser::browser::Browser;
 use mp_browser::dom::Dom;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 
 /// Security property the attack violates (the C/I/A column of Table V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityProperty {
     /// Confidentiality.
     Confidentiality,
@@ -29,7 +28,7 @@ pub enum SecurityProperty {
 }
 
 /// Result of running one attack module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackReport {
     /// Attack name (Table V row).
     pub name: String,

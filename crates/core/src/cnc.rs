@@ -17,7 +17,6 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Maximum value a browser reports for an image dimension.
@@ -28,7 +27,7 @@ pub const BYTES_PER_IMAGE: usize = 4;
 pub const SVG_OVERHEAD_BYTES: usize = 100;
 
 /// A command the master can send to its parasites.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Do nothing (keep-alive).
     Idle,
@@ -77,7 +76,7 @@ impl Command {
 }
 
 /// Dimensions of one channel image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageDimensions {
     /// Width in pixels.
     pub width: u16,
@@ -182,7 +181,7 @@ pub fn decode_upstream(url: &Url) -> Option<(String, Vec<u8>)> {
 }
 
 /// A record of data a parasite exfiltrated to the master.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExfilRecord {
     /// Campaign the bot belongs to.
     pub campaign: String,
@@ -193,7 +192,7 @@ pub struct ExfilRecord {
 /// The master's C&C server: queues commands for its bots and collects
 /// exfiltrated data. It is an [`Exchange`] so parasites reach it with plain
 /// image/URL requests like any other web traffic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CncServer {
     /// Host name the server answers on.
     pub host: String,

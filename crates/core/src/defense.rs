@@ -8,11 +8,10 @@
 //! — CSP/SRI/HSTS help against persistence and C&C but none of them stop the
 //! *active* injection phase — falls out of the model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The countermeasures discussed in §VIII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Defense {
     /// No defence (baseline).
     None,
@@ -61,7 +60,7 @@ impl fmt::Display for Defense {
 }
 
 /// The stages of the attack pipeline the ablation scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackStage {
     /// Injecting a spoofed response while the victim shares a network with
     /// the attacker.
@@ -154,7 +153,7 @@ pub fn stage_survives(defense: Defense, stage: AttackStage) -> bool {
 }
 
 /// One row of the ablation report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AblationRow {
     /// The defence deployed.
     pub defense: Defense,

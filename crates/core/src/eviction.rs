@@ -10,13 +10,12 @@
 use mp_browser::browser::Browser;
 use mp_browser::profile::{BrowserProfile, EvictionBehaviour};
 use mp_httpsim::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 
 /// The attacker's junk-object host.
 pub const JUNK_HOST: &str = "cdn.attacker.example";
 
 /// Result of running the eviction attack against one browser.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvictionReport {
     /// Which browser was attacked.
     pub browser: String,
@@ -52,7 +51,7 @@ pub fn junk_url(index: usize) -> Url {
 }
 
 /// Cache-eviction attack driver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictionAttack {
     /// Size of each junk object in bytes.
     pub junk_object_size: usize,

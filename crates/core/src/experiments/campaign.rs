@@ -16,7 +16,7 @@
 
 use super::multiday::DayStats;
 use super::tables::{build_race_world, RaceTiming, RaceWorld};
-use super::{parallel_tasks, ExperimentError, ExperimentId, Registry, RunConfig, RunCtx};
+use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
 use crate::script::Parasite;
 use mp_httpsim::message::{Request, Response};
@@ -29,7 +29,6 @@ use mp_netsim::sim::SharedBudget;
 use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One AP addresses its clients out of `10.x.y.2`, so a single simulation
 /// holds at most a /16 of them.
@@ -64,7 +63,7 @@ pub(super) const SHARD_TAG: u64 = 0x5a4d_0000_0000_0000;
 /// [`RunConfig::fleet_hetero`] is set. Real café APs are not identical —
 /// latency, jitter, how fast the resident master reacts and how many clients
 /// sit behind each AP all vary; the profile captures one AP's draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApProfile {
     /// Master-tap reaction delay in microseconds.
     pub attacker_reaction_us: u64,
@@ -159,7 +158,7 @@ pub(super) fn distribute_by_weight(total: usize, weights: &[u64]) -> Vec<usize> 
 }
 
 /// Result of the campaign fleet experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignFleetResult {
     /// Seed-sweep shards the fleet was split across (1 = unsharded).
     pub shards: usize,
@@ -392,16 +391,6 @@ pub(super) fn simulate_ap_with(
     })
 }
 
-/// The classic single-snapshot AP simulation: every eighth client asks for an
-/// unprepared object, no per-client flags.
-fn simulate_ap(
-    task: &ApTask,
-    config: &RunConfig,
-    shared: Option<&SharedBudget>,
-) -> Result<ApOutcome, NetError> {
-    simulate_ap_with(task, config, shared, &requests_unprepared_object, false)
-}
-
 /// Divides `total` into `parts` nearly equal slices (earlier slices take the
 /// remainder). Shared with the shard planner (`distrib`), so coordinator
 /// range splits and seed-sweep shard splits agree.
@@ -411,8 +400,8 @@ pub(super) fn share(total: usize, parts: usize, index: usize) -> usize {
 
 /// Runs the campaign fleet. `fleet_days > 1` enters the multi-day churn loop
 /// (see the `multiday` module); otherwise: unsharded for `fleet_shards <= 1`,
-/// or a seed-sweep of independent shard runs (each its own registry task,
-/// exactly as a `run_many` sweep would schedule them) whose trace summaries
+/// or a seed-sweep of independent shard runs (each an unsharded fleet under
+/// its own seed, scheduled on the shared worker pool) whose trace summaries
 /// and infection counts are merged into one artifact in shard order. Under
 /// `fleet_hetero` the fleet's profiles are pinned to global AP indices, so
 /// sharding becomes a scheduling hint: every number in the artifact matches
@@ -424,20 +413,20 @@ pub(super) fn campaign_fleet(
     if config.fleet_days > 1 {
         return super::multiday::run_multiday(config, ctx, None);
     }
-    let shards = config.fleet_shards.max(1);
-    if shards == 1 {
-        return campaign_fleet_shard(config, ctx.budget_for(config).as_ref());
-    }
+    // One shared budget pool (when requested) spans every shard of the sweep.
+    let shared = ctx.budget_for(config);
+    let requested = config.fleet_shards.max(1);
     // Never more shards than APs: every shard needs at least one simulation.
-    let shards = shards.min(config.fleet_aps.max(1));
-    if config.fleet_hetero {
-        // Heterogeneity pins profiles and client weights to *global* AP
-        // indices under the campaign seed; slicing the fleet into seed-sweep
-        // shards would redraw a different fleet per shard count. Run the
-        // global plan directly (the per-AP sweep already parallelises) and
-        // report the shard count as a scheduling hint — the artifact is
-        // byte-identical across shard counts, like the multi-day loop.
-        let mut result = campaign_fleet_shard(config, ctx.budget_for(config).as_ref())?;
+    let shards = requested.min(config.fleet_aps.max(1));
+    if requested == 1 || config.fleet_hetero {
+        // An unsharded request runs the global plan as is. Heterogeneity
+        // pins profiles and client weights to *global* AP indices under the
+        // campaign seed; slicing the fleet into seed-sweep shards would
+        // redraw a different fleet per shard count. Run the global plan
+        // directly (the per-AP sweep already parallelises) and report the
+        // shard count as a scheduling hint — the artifact is byte-identical
+        // across shard counts, like the multi-day loop.
+        let mut result = campaign_fleet_shard(config, shared.as_ref())?;
         result.shards = shards;
         return Ok(result);
     }
@@ -458,48 +447,20 @@ pub(super) fn campaign_fleet(
         })
         .collect();
 
-    let jobs = if config.fleet_jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.fleet_jobs
-    }
-    .min(shards);
-    let experiment = Registry::get(ExperimentId::CampaignFleet);
-    // One shared budget pool (when requested) spans every shard of the sweep.
-    let shard_ctx = RunCtx {
-        shared_budget: ctx.budget_for(config),
-        cancel: ctx.cancel.clone(),
-        day_sink: None,
-    };
-    let outcomes = parallel_tasks(&shard_configs, jobs, |shard| {
-        experiment.try_run_ctx(shard, &shard_ctx)
+    let outcomes = parallel_tasks(&shard_configs, fleet_jobs(config, shards), |shard| {
+        campaign_fleet_shard(shard, shared.as_ref())
     });
 
     let mut merged = CampaignFleetResult {
         shards,
-        aps: 0,
         clients: config.fleet_clients,
-        infected_clients: 0,
-        clean_clients: 0,
-        failed_aps: 0,
-        total_events: 0,
-        payload_bytes: 0,
-        injected_events: 0,
-        pending_bytes_dropped: 0,
-        day_stats: Vec::new(),
+        ..CampaignFleetResult::default()
     };
     let mut failed_shards = 0usize;
     let mut first_error: Option<ExperimentError> = None;
     for (outcome, shard_config) in outcomes.into_iter().zip(&shard_configs) {
-        let shard_result = match outcome {
-            Ok(artifact) => artifact.data.as_campaign_fleet().cloned(),
-            Err(error) => {
-                first_error.get_or_insert(error);
-                None
-            }
-        };
-        match shard_result {
-            Some(shard) => {
+        match outcome {
+            Ok(shard) => {
                 merged.aps += shard.aps;
                 merged.infected_clients += shard.infected_clients;
                 merged.clean_clients += shard.clean_clients;
@@ -509,9 +470,10 @@ pub(super) fn campaign_fleet(
                 merged.injected_events += shard.injected_events;
                 merged.pending_bytes_dropped += shard.pending_bytes_dropped;
             }
-            None => {
+            Err(error) => {
                 // A shard that failed outright contributes its APs as failed;
                 // its clients count as neither infected nor clean.
+                first_error.get_or_insert(error);
                 merged.aps += shard_config.fleet_aps;
                 merged.failed_aps += shard_config.fleet_aps;
                 failed_shards += 1;
@@ -529,7 +491,7 @@ pub(super) fn campaign_fleet(
     }
     // A drained global pool means part of the fleet starved: fail the whole
     // run with the typed error instead of reporting a silently-short merge.
-    if let Some(shared) = &shard_ctx.shared_budget {
+    if let Some(shared) = &shared {
         if merged.failed_aps > 0 && shared.exhausted() {
             return Err(ExperimentError::Net(NetError::EventBudgetExhausted {
                 budget: shared.total(),
@@ -604,20 +566,15 @@ fn campaign_fleet_shard(
     let tasks = plan_ap_tasks(config, config.seed, total_clients)?;
 
     let jobs = fleet_jobs(config, aps);
-    let outcomes = parallel_tasks(&tasks, jobs, |task| simulate_ap(task, config, shared));
+    let outcomes = parallel_tasks(&tasks, jobs, |task| {
+        simulate_ap_with(task, config, shared, &requests_unprepared_object, false)
+    });
 
     let mut result = CampaignFleetResult {
         shards: 1,
         aps,
         clients: total_clients,
-        infected_clients: 0,
-        clean_clients: 0,
-        failed_aps: 0,
-        total_events: 0,
-        payload_bytes: 0,
-        injected_events: 0,
-        pending_bytes_dropped: 0,
-        day_stats: Vec::new(),
+        ..CampaignFleetResult::default()
     };
     for outcome in outcomes {
         match outcome {

@@ -216,13 +216,18 @@ impl FaultPlan {
         self.journal.get(&sequence).copied()
     }
 
-    /// The seeded cut point for a garbled line of `len` bytes: always a
-    /// strict prefix, so a truncated JSON object can never parse whole.
-    pub fn garble_point(&self, len: usize) -> usize {
-        if len < 2 {
-            return 0;
+    /// The seeded garbling of a reply `line`: a strict prefix, cut back to a
+    /// char boundary, so a truncated JSON object can never parse whole.
+    pub fn garble<'a>(&self, line: &'a str) -> &'a str {
+        if line.is_empty() {
+            return line;
         }
-        (super::campaign::mix_seed(self.seed, GARBLE_TAG ^ len as u64) % len as u64) as usize
+        let len = line.len() as u64;
+        let mut cut = (super::campaign::mix_seed(self.seed, GARBLE_TAG ^ len) % len) as usize;
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        &line[..cut]
     }
 
     /// Atomically claims the next 1-based sequence number: via `create_new`
@@ -323,13 +328,20 @@ mod tests {
     fn garble_points_are_deterministic_strict_prefixes() {
         let plan = FaultPlan::parse("seed=42").expect("parses");
         let again = FaultPlan::parse("seed=42").expect("parses");
-        for len in [0usize, 1, 2, 17, 1024, 65536] {
-            let cut = plan.garble_point(len);
-            assert!(len < 2 || cut < len, "cut {cut} must be a strict prefix of {len}");
-            assert_eq!(cut, again.garble_point(len), "same seed, same cut");
+        let mut lines: Vec<String> = [0, 1, 2, 17, 1024, 65536].map(|len| "x".repeat(len)).into();
+        // A multi-byte reply: the cut must walk back to a char boundary.
+        lines.push("{\"note\":\"é—🦀\"}".repeat(36));
+        for line in &lines {
+            let cut = plan.garble(line);
+            assert!(line.is_empty() || cut.len() < line.len(), "{cut:?} is not a strict prefix");
+            assert!(line.starts_with(cut));
+            assert_eq!(cut, again.garble(line), "same seed, same cut");
         }
         // A different seed moves the cut for at least some lengths.
         let other = FaultPlan::parse("seed=43").expect("parses");
-        assert!((2usize..200).any(|len| plan.garble_point(len) != other.garble_point(len)));
+        assert!((2usize..200).any(|len| {
+            let line = "x".repeat(len);
+            plan.garble(&line) != other.garble(&line)
+        }));
     }
 }

@@ -11,14 +11,13 @@ use mp_httpsim::body::ResourceKind;
 use mp_httpsim::transport::{Internet, StaticOrigin};
 use mp_httpsim::url::Url;
 use mp_webgen::{scan, Crawler, PersistencySeries, PolicyScan, Population, PopulationConfig};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Figures 1, 2 — message flows
 // ---------------------------------------------------------------------------
 
 /// A rendered message-flow trace (Figures 1, 2 and 4 are sequence diagrams).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowTrace {
     /// Human-readable description of the flow.
     pub title: String,
@@ -140,7 +139,7 @@ pub(super) fn fig2_infection_flow(
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 3 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// The measured series.
     pub series: PersistencySeries,
@@ -196,7 +195,7 @@ pub(super) fn fig3_persistency(
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 4 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Result {
     /// (parallel requests, modelled goodput bytes/s).
     pub goodput_curve: Vec<(u32, f64)>,
@@ -285,7 +284,7 @@ pub(super) fn fig4_cnc_channel(
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 5 experiment (plus the in-text adoption numbers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// The full policy scan.
     pub scan: PolicyScan,
@@ -394,7 +393,7 @@ pub(super) fn fig5_csp_stats(
 // ---------------------------------------------------------------------------
 
 /// Result of the defence ablation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AblationResult {
     /// One row per defence.
     pub rows: Vec<AblationRow>,

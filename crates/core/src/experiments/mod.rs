@@ -52,7 +52,6 @@ use crate::script::Parasite;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
@@ -95,7 +94,7 @@ pub(crate) fn standard_infector() -> Infector {
 /// Identifier of one of the paper's eleven experiments, or of an extension
 /// experiment that goes beyond the paper (currently
 /// [`ExperimentId::CampaignFleet`] and [`ExperimentId::AttackSurface`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ExperimentId {
     /// Table I — cache eviction on popular browsers.
     Table1,
@@ -250,7 +249,7 @@ impl FromStr for ExperimentId {
 /// Uniform configuration for every experiment, replacing the bespoke
 /// positional arguments of the former free-function runners. Unused fields
 /// are ignored by experiments that do not need them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// RNG seed for population generation and packet-level races.
     pub seed: u64,
@@ -727,7 +726,7 @@ impl From<NetError> for ExperimentError {
 // ---------------------------------------------------------------------------
 
 /// The structured result of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArtifactData {
     /// Table I result.
     Table1(Table1Result),
@@ -824,7 +823,7 @@ impl ToJson for ArtifactData {
 
 /// One regenerated table or figure: the structured result, the configuration
 /// that produced it, and uniform text / JSON renderings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
     /// Which experiment produced this artifact.
     pub id: ExperimentId,

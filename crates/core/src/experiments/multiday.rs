@@ -45,7 +45,6 @@ use crate::json::{Json, ToJson};
 use mp_netsim::dist::Dist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Seed-stream tag for per-day RNG streams: day `d` draws from
@@ -74,7 +73,7 @@ pub(super) const DAILY_CACHE_CLEAR: f64 = 0.01;
 // ---------------------------------------------------------------------------
 
 /// What happened on one simulated day of a multi-day campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DayStats {
     /// The day number (1-based).
     pub day: u32,

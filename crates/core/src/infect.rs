@@ -19,10 +19,9 @@ use mp_httpsim::body::{Body, ResourceKind};
 use mp_httpsim::caching::parasite_pin_header;
 use mp_httpsim::headers::names;
 use mp_httpsim::message::{Request, Response};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the infection step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfectionConfig {
     /// Whether HTML documents are infected too. The paper leaves this
     /// optional "so as not to violate any Content Security Policy".
@@ -44,7 +43,7 @@ impl Default for InfectionConfig {
 }
 
 /// The infection engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Infector {
     /// The parasite to attach.
     pub parasite: Parasite,

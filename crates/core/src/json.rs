@@ -1,11 +1,11 @@
 //! Minimal JSON value model, serializer and parser.
 //!
-//! The workspace is built offline against a stub `serde` that carries no data
-//! format, so machine-readable experiment output ([`crate::experiments::Artifact`])
-//! is produced through this self-contained module instead: a [`Json`] value
-//! tree, a compact writer (via [`std::fmt::Display`]), a recursive-descent
-//! parser ([`Json::parse`]) and a [`ToJson`] conversion trait implemented by
-//! every experiment result type.
+//! The workspace has no serialisation framework, so machine-readable experiment
+//! output ([`crate::experiments::Artifact`]), checkpoints and both wire
+//! protocols go through this self-contained module: a [`Json`] value tree, a
+//! compact writer (via [`std::fmt::Display`]), a depth-limited
+//! recursive-descent parser ([`Json::parse`]) and a [`ToJson`] conversion trait
+//! implemented by every experiment result type.
 //!
 //! Object keys keep insertion order, so serialisation is deterministic and the
 //! `paper-report --json` output is byte-for-byte reproducible.
@@ -89,10 +89,14 @@ impl Json {
     }
 
     /// Parses a JSON document.
+    ///
+    /// Arrays and objects may nest at most 128 levels deep; deeper input is a
+    /// [`JsonError`], so an untrusted line cannot overflow the stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -264,9 +268,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document the
+/// program writes nests far shallower.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -311,8 +321,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
@@ -476,6 +493,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let bomb = "[".repeat(100_000);
+        assert!(Json::parse(&bomb).unwrap_err().message.contains("nesting deeper"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

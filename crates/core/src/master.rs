@@ -13,10 +13,9 @@ use crate::script::Parasite;
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::Url;
 use mp_netsim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// A bot (one parasite instance phoning home) known to the master.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bot {
     /// Campaign identifier the bot reported.
     pub campaign: String,
@@ -25,7 +24,7 @@ pub struct Bot {
 }
 
 /// The master attacker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Master {
     /// The parasite template injected into targets.
     pub parasite: Parasite,
@@ -136,7 +135,7 @@ mod tests {
         let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "f()"));
         let (tap, stats) = master.packet_tap(&[(url, genuine)], Duration::from_micros(300));
         assert_eq!(mp_netsim::attacker::Tap::name(&tap), "master");
-        assert_eq!(stats.lock().responses_injected, 0);
+        assert_eq!(stats.lock().unwrap().responses_injected, 0);
     }
 
     #[test]

@@ -20,10 +20,9 @@ use mp_browser::browser::Browser;
 use mp_browser::dom::Dom;
 use mp_httpsim::transport::Exchange;
 use mp_httpsim::url::Url;
-use serde::{Deserialize, Serialize};
 
 /// Which domains ended up executing the parasite after a propagation step.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Domains whose cached objects now carry the parasite.
     pub infected_domains: Vec<String>,
@@ -126,15 +125,14 @@ pub fn propagate_via_shared_cache<U: Exchange + 'static>(
     page: &Url,
     infector: &Infector,
 ) -> (bool, bool) {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     // Both victims share the same cache instance; an Arc<Mutex<_>> transport
     // adapter lets two browsers take turns on it.
     struct SharedHandle<C>(Arc<Mutex<C>>);
     impl<C: Exchange> Exchange for SharedHandle<C> {
         fn exchange(&mut self, request: &mp_httpsim::message::Request) -> mp_httpsim::message::Response {
-            self.0.lock().exchange(request)
+            self.0.lock().expect("shared cache lock poisoned").exchange(request)
         }
         fn name(&self) -> &str {
             "shared-cache-handle"

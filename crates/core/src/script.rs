@@ -8,7 +8,6 @@
 //! clean ones, and (b) the "execution" of a parasite can be recovered from
 //! any script body by parsing the marker back out.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Marker that introduces the parasite payload inside a script body.
@@ -17,7 +16,7 @@ pub const PARASITE_MARKER: &str = "/*__PARASITE__*/";
 /// The behaviour modules a parasite can carry (paper §VII lists the modules
 /// the authors implemented: browser-data reading, protected-data extraction,
 /// phishing-based spreading and login-data extraction, plus C&C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ParasiteModule {
     /// Establish the covert command-and-control channel (§VI-C).
     CommandControl,
@@ -99,7 +98,7 @@ impl fmt::Display for ParasiteModule {
 }
 
 /// A parasite payload: the modules it carries plus the C&C rendezvous host.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parasite {
     /// Modules the parasite executes.
     pub modules: Vec<ParasiteModule>,

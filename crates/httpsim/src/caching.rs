@@ -11,10 +11,9 @@
 
 use crate::headers::{names, HeaderMap};
 use crate::message::{Request, Response, StatusCode};
-use serde::{Deserialize, Serialize};
 
 /// Parsed `Cache-Control` directives (the subset that matters here).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheDirectives {
     /// `max-age=N` in seconds.
     pub max_age: Option<u64>,
@@ -99,7 +98,7 @@ impl CacheDirectives {
 }
 
 /// Freshness verdict for a stored response at a given moment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Freshness {
     /// The stored response may be served without contacting the origin.
     Fresh {
@@ -125,7 +124,7 @@ impl Freshness {
 }
 
 /// Validators carried by a stored response.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Validators {
     /// `ETag` value.
     pub etag: Option<String>,
@@ -149,7 +148,7 @@ impl Validators {
 }
 
 /// Caching policy evaluator shared by browser caches and network caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachePolicy {
     /// Whether this cache is shared (proxy/CDN) — shared caches ignore
     /// `private` responses and honour `s-maxage`.

@@ -10,12 +10,11 @@
 
 use crate::headers::{names, HeaderMap};
 use crate::url::Url;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which header variant carried the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CspVersion {
     /// The standard `Content-Security-Policy` header.
     Standard,
@@ -44,7 +43,7 @@ impl fmt::Display for CspVersion {
 }
 
 /// CSP directives the reproduction enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Directive {
     /// `default-src`.
     DefaultSrc,
@@ -87,7 +86,7 @@ impl Directive {
 }
 
 /// A single source expression in a directive's source list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Source {
     /// `*` — matches any origin; the misconfiguration Figure 5 calls out.
     Wildcard,
@@ -143,7 +142,7 @@ fn host_pattern_matches(pattern: &str, target: &Url) -> bool {
 }
 
 /// A parsed Content Security Policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentSecurityPolicy {
     /// Which header variant delivered the policy.
     pub version: CspVersion,

@@ -9,11 +9,10 @@ use crate::body::{Body, ResourceKind};
 use crate::error::HttpError;
 use crate::headers::{names, HeaderMap};
 use crate::url::{Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HTTP request method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// GET — the only method browser subresource fetches use here.
     Get,
@@ -51,7 +50,7 @@ impl fmt::Display for Method {
 }
 
 /// HTTP status code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
@@ -102,7 +101,7 @@ impl fmt::Display for StatusCode {
 }
 
 /// An HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Method.
     pub method: Method,
@@ -212,7 +211,7 @@ impl Request {
 }
 
 /// An HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
     pub status: StatusCode,

@@ -8,7 +8,6 @@
 //! attribute. The model captures both facts.
 
 use crate::body::{fnv1a, Body};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An integrity metadata value as it would appear in an `integrity` attribute.
@@ -16,7 +15,7 @@ use std::fmt;
 /// Real SRI uses SHA-256/384/512; the simulation uses a 64-bit FNV digest,
 /// which preserves the property that matters (any byte change is detected with
 /// overwhelming probability) without pulling in a crypto dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IntegrityDigest(u64);
 
 impl IntegrityDigest {
@@ -49,7 +48,7 @@ impl fmt::Display for IntegrityDigest {
 }
 
 /// Outcome of an SRI check during subresource loading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SriOutcome {
     /// No integrity metadata was present — the load proceeds unchecked.
     NotRequested,

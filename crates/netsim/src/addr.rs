@@ -1,6 +1,5 @@
 //! Network addressing: IPv4 addresses, ports and socket addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -9,7 +8,7 @@ use std::str::FromStr;
 /// The simulator only needs enough of an address to identify endpoints and to
 /// let the attacker spoof the server's source address, so a thin wrapper over
 /// the four octets is sufficient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IpAddr([u8; 4]);
 
 impl IpAddr {
@@ -86,7 +85,7 @@ impl From<[u8; 4]> for IpAddr {
 }
 
 /// A transport-layer endpoint: IPv4 address plus TCP port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketAddr {
     /// The IPv4 address.
     pub ip: IpAddr,
@@ -108,7 +107,7 @@ impl fmt::Display for SocketAddr {
 }
 
 /// The four-tuple that identifies a TCP connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FourTuple {
     /// Source (client) endpoint.
     pub src: SocketAddr,

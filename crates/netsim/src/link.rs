@@ -8,14 +8,13 @@
 //! the packet.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a medium within a simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MediumId(pub u64);
 
 /// The broadcast/visibility behaviour of a medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediumKind {
     /// Open wireless network: eavesdroppers attached to the medium observe
     /// every packet (the paper's public-WiFi attacker model, §III).
@@ -31,7 +30,7 @@ pub enum MediumKind {
 }
 
 /// A transmission medium with a one-way latency and optional jitter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Medium {
     /// Identifier.
     pub id: MediumId,

@@ -8,7 +8,6 @@
 use crate::addr::{FourTuple, IpAddr, SocketAddr};
 use crate::seq::SeqNum;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default maximum segment size used by simulated hosts, in bytes.
@@ -18,7 +17,7 @@ use std::fmt;
 pub const DEFAULT_MSS: usize = 1460;
 
 /// TCP header flags. Only the flags the simulation acts upon are modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags {
     /// Synchronise sequence numbers (connection setup).
     pub syn: bool,
@@ -114,7 +113,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// A TCP segment: header fields plus payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Source port.
     pub src_port: u16,
@@ -129,28 +128,7 @@ pub struct Segment {
     /// Advertised receive window in bytes.
     pub window: u32,
     /// Payload bytes.
-    #[serde(with = "serde_bytes_compat")]
     pub payload: Bytes,
-}
-
-// The vendored serde stub derives field-free impls, so these adapters are not
-// called at runtime; they are kept (and allowed dead) so the `#[serde(with)]`
-// annotation round-trips unchanged against the real serde.
-#[allow(dead_code)]
-mod serde_bytes_compat {
-    //! `bytes::Bytes` does not implement serde by default in the feature set
-    //! we enable; serialize through `Vec<u8>`.
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &Bytes, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(bytes)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Bytes, D::Error> {
-        let vec = Vec::<u8>::deserialize(deserializer)?;
-        Ok(Bytes::from(vec))
-    }
 }
 
 impl Segment {
@@ -206,7 +184,7 @@ impl Segment {
 }
 
 /// An IPv4 packet carrying one TCP segment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Source IP address. The attacker sets this to the server's address when
     /// spoofing, which is exactly why the victim cannot tell injected segments

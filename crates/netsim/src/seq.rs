@@ -6,12 +6,11 @@
 //! TCP endpoints and the attacker's injector use to decide whether a segment
 //! falls inside the receive window.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A 32-bit TCP sequence number with wrapping (modular) arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SeqNum(u32);
 
 impl SeqNum {

@@ -20,11 +20,10 @@ use crate::error::NetError;
 use crate::packet::{Segment, TcpFlags, DEFAULT_MSS};
 use crate::seq::SeqNum;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// States of the TCP state machine (condensed to those the simulation needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcpState {
     /// No connection.
     Closed,

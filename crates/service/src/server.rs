@@ -439,11 +439,7 @@ fn dispatch(
                     if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
                         let line = response.to_json().to_string();
                         let plan = FaultPlan::global().expect("a fault implies a plan");
-                        let mut cut = plan.garble_point(line.len());
-                        while !line.is_char_boundary(cut) {
-                            cut -= 1;
-                        }
-                        connection.write_raw_line(&line[..cut])
+                        connection.write_raw_line(plan.garble(&line))
                     } else {
                         connection.write_line(&response)
                     }

@@ -463,6 +463,21 @@ fn protocol_violations_get_pointed_error_responses() {
     std::io::BufRead::read_line(&mut reader, &mut line).expect("status line");
     assert!(line.contains("\"type\":\"status\""), "got: {line}");
 
+    // A nesting bomb once overflowed a connection thread's stack and aborted
+    // the whole daemon; now it is a typed error and a fresh connection is
+    // still answered.
+    writeln!(raw, "{}", "[".repeat(100_000)).expect("write nesting bomb");
+    line.clear();
+    std::io::BufRead::read_line(&mut reader, &mut line).expect("error line");
+    assert!(line.contains("nesting deeper"), "got: {line}");
+    assert!(line.contains("\"code\":\"bad_request\""), "got: {line}");
+    drop((raw, reader));
+    let mut fresh = connect(&socket);
+    match fresh.request(&Request::Status { run: None }).expect("status response") {
+        Response::Status { .. } => {}
+        other => panic!("expected status, got {other:?}"),
+    }
+
     shutdown_and_wait(daemon, &socket);
     let _ = std::fs::remove_dir_all(&dir);
 }

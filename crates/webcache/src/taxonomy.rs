@@ -8,11 +8,10 @@
 //! undocumented, separately for HTTP and HTTPS. Those classifications drive
 //! which caches the parasite can persist in.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where the cache sits relative to the victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CacheLocation {
     /// On the victim host itself (browser caches).
     VictimHost,
@@ -34,7 +33,7 @@ impl fmt::Display for CacheLocation {
 }
 
 /// The product class a cache instance belongs to (Table IV "Type" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CacheClass {
     /// Client-internal browser cache.
     BrowserCache,
@@ -75,7 +74,7 @@ impl fmt::Display for CacheClass {
 
 /// Whether a product caches traffic of a given scheme (the cell values of
 /// Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachingSupport {
     /// Caching enabled by default (filled circle).
     Default,
@@ -112,7 +111,7 @@ impl CachingSupport {
 }
 
 /// One row of Table IV: a concrete product or deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheInstance {
     /// Where the cache sits.
     pub location: CacheLocation,
@@ -233,7 +232,7 @@ pub fn table4_entries() -> Vec<CacheInstance> {
 }
 
 /// Summary statistics over the taxonomy, used by the Table IV experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaxonomySummary {
     /// Total rows.
     pub total: usize,

@@ -10,10 +10,9 @@
 //! (≈87.5 % name-persistent at a 5-day window, ≈75.3 % at 100 days).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How stable one object is over time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StabilityClass {
     /// Never renamed during the study horizon; content changes occasionally.
     /// These are the "perfect targets" the attacker selects (§VI-A).
@@ -60,7 +59,7 @@ impl StabilityClass {
 }
 
 /// The state of one object on one crawl day.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectObservation {
     /// Path (name) of the object on this day.
     pub path: String,
@@ -69,7 +68,7 @@ pub struct ObjectObservation {
 }
 
 /// A churning object: its identity plus the mutable state the crawler sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurningObject {
     /// Original path on day zero.
     pub original_path: String,

@@ -11,11 +11,10 @@
 use crate::population::Population;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The three series plotted in Figure 3, as percentages of all sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PersistencySeries {
     /// Measurement day for each data point (1-based).
     pub days: Vec<u32>,
@@ -46,7 +45,7 @@ impl PersistencySeries {
 }
 
 /// One point of the Figure 3 curves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersistencyPoint {
     /// Measurement day.
     pub day: u32,
@@ -59,7 +58,7 @@ pub struct PersistencyPoint {
 }
 
 /// Snapshot of one site on one day, as the crawler records it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteSnapshot {
     /// The site host.
     pub host: String,
