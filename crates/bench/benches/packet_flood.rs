@@ -17,7 +17,7 @@ use mp_netsim::link::MediumKind;
 use mp_netsim::sim::{FixedResponder, Simulator};
 use mp_netsim::time::Duration;
 use parasite::experiments::{
-    run_campaign_shard, ExperimentId, Registry, RunConfig, RunCtx, ShardOutcome, ShardPlan,
+    run_campaign_shard, Coordinator, ExperimentId, Registry, RunConfig, RunCtx,
 };
 use parasite::json::{Json, ToJson};
 
@@ -92,10 +92,11 @@ fn fleet_timing(shards: usize, days: u32, churn: f64) -> (f64, u64) {
 }
 
 /// Times the same multi-day campaign as `fleet_multiday_5d`, decomposed
-/// into shard runs executed concurrently on scoped threads and merged back
-/// into the fleet result — the in-process cost model of `paper-report
-/// distribute` (without the per-assignment process spawn), so the shard
-/// decomposition's overhead over the fused loop rides the trajectory file.
+/// into shard runs that the distributed-campaign `Coordinator` executes
+/// concurrently in-process and merges back into the fleet result — the cost
+/// model of `paper-report distribute` without the per-assignment process
+/// spawn, so the shard decomposition's overhead over the fused loop rides
+/// the trajectory file.
 fn fleet_distributed_timing(workers: usize, days: u32, churn: f64) -> (f64, u64) {
     let config = RunConfig {
         fleet_clients: 20_000,
@@ -106,24 +107,19 @@ fn fleet_distributed_timing(workers: usize, days: u32, churn: f64) -> (f64, u64)
         ..RunConfig::default()
     };
     let start = std::time::Instant::now();
-    let plans = ShardPlan::split(&config, workers);
-    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let config = &config;
-                scope.spawn(move || {
-                    run_campaign_shard(config, *plan, &RunCtx::default()).expect("shard runs")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|handle| handle.join().expect("shard thread")).collect()
-    });
-    let merged = outcomes
-        .into_iter()
-        .reduce(|left, right| left.merge(right).expect("disjoint shards merge"))
-        .expect("at least one shard");
-    let result = merged.into_fleet_result(&config).expect("full coverage");
+    let coordinator = Coordinator {
+        config: &config,
+        workers,
+        journal: None,
+        retry_limit: 0,
+        shard_timeout: None,
+        faults: None,
+    };
+    let result = coordinator
+        .run(|plan, _| {
+            run_campaign_shard(&config, plan, &RunCtx::default()).map_err(|error| error.to_string())
+        })
+        .expect("the in-process campaign runs");
     let seconds = start.elapsed().as_secs_f64();
     (seconds, result.total_events)
 }
@@ -202,8 +198,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // The distributed decomposition of the same 5-day campaign: three
-    // shards on concurrent threads, merged — tracks what the shard refactor
-    // costs (or saves) against the fused fleet_multiday_5d loop above.
+    // shards through the in-process coordinator, merged — tracks what the
+    // shard decomposition costs (or saves) against the fused
+    // fleet_multiday_5d loop above.
     let (dist_seconds, dist_events) = fleet_distributed_timing(3, 5, 0.2);
     println!(
         "packet_flood/fleet_distributed: {dist_events} events in {dist_seconds:.3}s ({:.0} events/sec)",

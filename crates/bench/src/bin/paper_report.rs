@@ -990,10 +990,11 @@ mod service {
     }
 }
 
-/// The distributed-campaign subcommands: `distribute` is the coordinator
-/// (split, farm out, merge, report); `shard-worker` is the per-process
-/// worker half it spawns. A shard-worker reads one newline-JSON assignment
-/// per line from stdin —
+/// The distributed-campaign subcommands: `distribute` runs the library's
+/// `parasite::experiments::Coordinator` (journal resume, retries,
+/// deadlines, merge) with one `shard-worker` child process per attempt;
+/// this module keeps only the CLI and the process plumbing. A shard-worker
+/// reads one newline-JSON assignment per line from stdin —
 /// `{"op": "shard_run", "config": {...}, "first_ap": n, "aps": n}` — and
 /// replies on stdout with one `shard_result` (carrying the shard's
 /// mergeable partial-checkpoint document) or `error` line, until EOF. The
@@ -1003,16 +1004,15 @@ mod distribute {
     use super::service::usage_error;
     use super::*;
     use parasite::experiments::{
-        run_campaign_shard, scan_journal, write_journal_entry, ExperimentError, FaultKind,
-        FaultPlan, RunCtx, ShardOutcome, ShardPlan, FAULT_PLAN_ENV,
+        run_campaign_shard, Attempt, Coordinator, ExperimentError, FaultPlan, RunCtx,
+        ShardOutcome, ShardPlan, FAULT_DIR_ENV, FAULT_PLAN_ENV,
     };
     use parasite::json::{Json, ToJson};
-    use std::collections::VecDeque;
     use std::io::{BufRead, BufReader, Write as _};
     use std::path::Path;
-    use std::process::{Child, Command, Stdio};
-    use std::sync::{mpsc, Mutex};
-    use std::time::{Duration, Instant};
+    use std::process::{Command, Stdio};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// The `shard-worker` loop: serve stdin assignments until EOF. A seeded
     /// `MP_FAULT_PLAN` (see PROTOCOL.md) makes chosen assignments
@@ -1040,21 +1040,9 @@ mod distribute {
             if line.trim().is_empty() {
                 continue;
             }
-            let fault = faults.as_ref().and_then(FaultPlan::claim_assignment);
-            match fault {
-                Some(FaultKind::Crash) => std::process::exit(3),
-                Some(FaultKind::Hang) => loop {
-                    // Hang forever (until the coordinator's shard timeout
-                    // kills this process).
-                    std::thread::sleep(Duration::from_secs(3600));
-                },
-                _ => {}
-            }
+            let garbler = faults.as_ref().filter(|plan| plan.enact_assignment());
             let mut reply = serve_assignment(line.trim()).to_string();
-            if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
-                // A torn pipe write and a garbled line look the same to the
-                // coordinator: a strict prefix that can never parse whole.
-                let plan = faults.as_ref().expect("fault implies plan");
+            if let Some(plan) = garbler {
                 reply.truncate(plan.garble(&reply).len());
             }
             if writeln!(stdout, "{reply}").and_then(|()| stdout.flush()).is_err() {
@@ -1218,71 +1206,19 @@ mod distribute {
             other => other,
         };
 
-        // With a journal, completed shard ranges survive a coordinator
-        // death: scan it, keep what validates, and re-plan only the gaps.
-        let mut done: Vec<ShardOutcome> = Vec::new();
-        let plans = match journal.as_deref() {
-            None => ShardPlan::split(&config, workers),
-            Some(dir) => match scan_journal(dir, &config) {
-                Err(error) => {
-                    eprintln!("error: {error}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(scan) => {
-                    for (path, why) in &scan.discarded {
-                        eprintln!(
-                            "warning: discarded damaged journal entry {} ({why}); \
-                             its range will re-run",
-                            path.display()
-                        );
-                    }
-                    if !scan.outcomes.is_empty() {
-                        eprintln!(
-                            "resuming from journal {}: {} completed shard(s)",
-                            dir.display(),
-                            scan.outcomes.len()
-                        );
-                    }
-                    done = scan.outcomes;
-                    uncovered_plans(&config, &done, workers)
-                }
-            },
-        };
-
-        let supervision = Supervision { timeout: shard_timeout, warm: Mutex::new(None) };
         let coordinator = Coordinator {
             config: &config,
-            worker_cmd: worker_cmd.as_deref(),
+            workers,
             journal: journal.as_deref(),
             retry_limit,
-            supervision,
-            faults,
+            shard_timeout,
+            faults: faults.as_ref(),
         };
-        let fresh = match coordinator.execute(&plans, workers) {
-            Ok(fresh) => fresh,
-            Err(error) => {
-                eprintln!("error: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut merged: Option<ShardOutcome> = None;
-        for outcome in done.into_iter().chain(fresh) {
-            merged = Some(match merged {
-                None => outcome,
-                Some(accumulated) => match accumulated.merge(outcome) {
-                    Ok(merged) => merged,
-                    Err(error) => {
-                        eprintln!("error: cannot merge shard outcomes: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-            });
-        }
-        let Some(merged) = merged else {
-            eprintln!("error: no shards were planned");
-            return ExitCode::FAILURE;
-        };
-        match merged.into_fleet_result(&config) {
+        let fault_dir = faults.as_ref().and_then(FaultPlan::dir);
+        let result = coordinator.run(|plan, attempt| {
+            run_worker(&config, worker_cmd.as_deref(), fault_dir, plan, attempt)
+        });
+        match result {
             Ok(result) => {
                 let artifact = Artifact {
                     id: ExperimentId::CampaignFleet,
@@ -1296,294 +1232,100 @@ mod distribute {
                 }
                 ExitCode::SUCCESS
             }
-            Err(error) => {
+            // The merged campaign failed as the batch run would have (a
+            // day on which every AP exhausted its event budget).
+            Err(error @ ExperimentError::Net(_)) => {
                 eprintln!("error: experiment campaign_fleet failed: {error}");
+                ExitCode::FAILURE
+            }
+            Err(error) => {
+                eprintln!("error: {error}");
                 ExitCode::FAILURE
             }
         }
     }
 
-    /// Re-plans the AP ranges not yet covered by journaled outcomes: each
-    /// contiguous uncovered run is split across the workers exactly as a
-    /// fresh campaign's whole range would be, so an empty journal reproduces
-    /// `ShardPlan::split` and the merged report never depends on where the
-    /// previous coordinator died.
-    fn uncovered_plans(
+    /// Runs one attempt on a fresh worker process (no half-poisoned state
+    /// to reason about on retry): write the request line, close stdin (the
+    /// worker replies, sees EOF and exits), and read the single reply line
+    /// until the attempt's deadline — a worker silent past it is killed and
+    /// its range reported hung.
+    fn run_worker(
         config: &RunConfig,
-        done: &[ShardOutcome],
-        workers: usize,
-    ) -> Vec<ShardPlan> {
-        let total = config.fleet_aps.max(1);
-        let mut covered = vec![false; total];
-        for outcome in done {
-            for (first_ap, aps) in outcome.covered_aps() {
-                for flag in covered.iter_mut().skip(first_ap).take(aps) {
-                    *flag = true;
-                }
+        worker_cmd: Option<&str>,
+        fault_dir: Option<&Path>,
+        plan: ShardPlan,
+        attempt: &Attempt,
+    ) -> Result<ShardOutcome, String> {
+        let mut command = match worker_cmd {
+            Some(cmd) => {
+                let mut command = Command::new("sh");
+                command.arg("-c").arg(cmd);
+                command
             }
+            None => {
+                let exe = std::env::current_exe()
+                    .map_err(|error| format!("cannot locate this binary: {error}"))?;
+                let mut command = Command::new(exe);
+                command.arg("shard-worker");
+                command
+            }
+        };
+        if let Some(dir) = fault_dir {
+            // Workers must share the coordinator's claim directory, or a
+            // plan like crash@2 would fire once per worker process instead
+            // of once across the fleet.
+            command.env(FAULT_DIR_ENV, dir);
         }
-        let mut plans = Vec::new();
-        let mut ap = 0;
-        while ap < total {
-            if covered[ap] {
-                ap += 1;
-                continue;
-            }
-            let start = ap;
-            while ap < total && !covered[ap] {
-                ap += 1;
-            }
-            plans.extend(ShardPlan::split_range(start, ap - start, workers));
+        let mut child = command
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|error| format!("cannot spawn a shard worker: {error}"))?;
+        let request = Json::obj([
+            ("op", "shard_run".to_json()),
+            ("config", config.to_json()),
+            ("first_ap", (plan.first_ap as u64).to_json()),
+            ("aps", (plan.aps as u64).to_json()),
+        ]);
+        {
+            let mut stdin =
+                child.stdin.take().ok_or_else(|| "worker stdin unavailable".to_string())?;
+            writeln!(stdin, "{request}")
+                .map_err(|error| format!("cannot write to the worker: {error}"))?;
         }
-        plans
-    }
-
-    /// The per-assignment deadline policy. An explicit `--shard-timeout`
-    /// wins; otherwise the deadline derives from a warm estimate — five
-    /// times the first completed shard's duration, floored at ten seconds —
-    /// and until any shard completes, automatic mode imposes none (a cold
-    /// first shard is not evidence of a hang).
-    struct Supervision {
-        timeout: Option<Duration>,
-        warm: Mutex<Option<Duration>>,
-    }
-
-    impl Supervision {
-        fn deadline(&self) -> Option<Duration> {
-            if let Some(timeout) = self.timeout {
-                return Some(timeout);
-            }
-            self.warm
-                .lock()
-                .unwrap()
-                .map(|warm| (warm * 5).max(Duration::from_secs(10)))
-        }
-
-        fn record_success(&self, elapsed: Duration) {
-            let mut warm = self.warm.lock().unwrap();
-            if warm.is_none() {
-                *warm = Some(elapsed);
-            }
-        }
-    }
-
-    struct Coordinator<'a> {
-        config: &'a RunConfig,
-        worker_cmd: Option<&'a str>,
-        journal: Option<&'a Path>,
-        retry_limit: usize,
-        supervision: Supervision,
-        faults: Option<FaultPlan>,
-    }
-
-    impl Coordinator<'_> {
-        /// Farms the shard plans out to worker processes. Each assignment
-        /// gets a fresh worker process (no half-poisoned state to reason
-        /// about on retry); an assignment whose worker dies, hangs past the
-        /// supervision deadline, or replies garbage goes back on the queue
-        /// after a bounded exponential backoff, with retries accounted per
-        /// shard — one poisoned range exhausts its own `--retry-limit` and
-        /// fails fast with an error naming the range, instead of burning a
-        /// budget shared with healthy shards.
-        fn execute(
-            &self,
-            plans: &[ShardPlan],
-            workers: usize,
-        ) -> Result<Vec<ShardOutcome>, ExperimentError> {
-            if plans.is_empty() {
-                return Ok(Vec::new());
-            }
-            let queue: Mutex<VecDeque<(usize, usize)>> =
-                Mutex::new((0..plans.len()).map(|index| (index, 0usize)).collect());
-            let results: Vec<Mutex<Option<ShardOutcome>>> =
-                plans.iter().map(|_| Mutex::new(None)).collect();
-            let failure: Mutex<Option<ExperimentError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.clamp(1, plans.len()) {
-                    scope.spawn(|| loop {
-                        let (index, attempt) = {
-                            let mut queue = queue.lock().unwrap();
-                            match queue.pop_front() {
-                                Some(work) => work,
-                                None => break,
-                            }
-                        };
-                        let plan = plans[index];
-                        let range =
-                            format!("[{}, {})", plan.first_ap, plan.first_ap + plan.aps);
-                        // Supervision-layer wall-clock read: worker
-                        // deadlines are real time, not simulated time.
-                        // mp-lint: allow(wallclock)
-                        let started = Instant::now();
-                        match self.run_worker(plan) {
-                            Ok(outcome) => {
-                                self.supervision.record_success(started.elapsed());
-                                if let Err(error) = self.journal_outcome(&outcome) {
-                                    *failure.lock().unwrap() = Some(error);
-                                    queue.lock().unwrap().clear();
-                                    break;
-                                }
-                                *results[index].lock().unwrap() = Some(outcome);
-                            }
-                            Err(message) => {
-                                if attempt >= self.retry_limit {
-                                    *failure.lock().unwrap() =
-                                        Some(ExperimentError::Shard(format!(
-                                            "range {range} failed {} time(s), exhausting \
-                                             --retry-limit {}: {message}",
-                                            attempt + 1,
-                                            self.retry_limit
-                                        )));
-                                    queue.lock().unwrap().clear();
-                                    break;
-                                }
-                                let backoff = Duration::from_millis(
-                                    (50u64 << attempt.min(5)).min(2_000),
-                                );
-                                eprintln!(
-                                    "warning: shard {range} attempt {}/{} failed \
-                                     ({message}); retrying in {}ms",
-                                    attempt + 1,
-                                    self.retry_limit + 1,
-                                    backoff.as_millis()
-                                );
-                                std::thread::sleep(backoff);
-                                queue.lock().unwrap().push_back((index, attempt + 1));
-                            }
-                        }
-                    });
-                }
-            });
-            if let Some(error) = failure.into_inner().unwrap() {
-                return Err(error);
-            }
-            let mut outcomes = Vec::with_capacity(plans.len());
-            for slot in results {
-                outcomes.push(slot.into_inner().unwrap().ok_or_else(|| {
-                    ExperimentError::Shard("a shard finished without a result".to_string())
-                })?);
-            }
-            Ok(outcomes)
-        }
-
-        /// Writes one completed shard into the journal (when one is
-        /// configured). A planned torn-write fault leaves a strict prefix of
-        /// the entry at its final path and kills the coordinator — exactly
-        /// the damage a power cut mid-write would leave for the resume path
-        /// to discard.
-        fn journal_outcome(&self, outcome: &ShardOutcome) -> Result<(), ExperimentError> {
-            let Some(dir) = self.journal else { return Ok(()) };
-            let torn = matches!(
-                self.faults.as_ref().and_then(FaultPlan::claim_journal),
-                Some(FaultKind::Torn)
-            );
-            let path = write_journal_entry(dir, self.config, outcome)?;
-            if torn {
-                let document = std::fs::read_to_string(&path).unwrap_or_default();
-                let mut cut = document.len() / 2;
-                while !document.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                let _ = std::fs::write(&path, &document[..cut]);
-                eprintln!("fault: torn journal write at {}; dying", path.display());
-                std::process::exit(17);
-            }
-            Ok(())
-        }
-
-        /// Runs one assignment on a fresh worker process: write the request
-        /// line, close stdin (the worker replies, sees EOF and exits), and
-        /// read the single reply line under the supervision deadline — a
-        /// worker silent past it is killed and its range reported hung.
-        fn run_worker(&self, plan: ShardPlan) -> Result<ShardOutcome, String> {
-            let mut child = self.spawn_worker()?;
-            let request = Json::obj([
-                ("op", "shard_run".to_json()),
-                ("config", self.config.to_json()),
-                ("first_ap", (plan.first_ap as u64).to_json()),
-                ("aps", (plan.aps as u64).to_json()),
-            ]);
-            {
-                let mut stdin = child
-                    .stdin
-                    .take()
-                    .ok_or_else(|| "worker stdin unavailable".to_string())?;
-                writeln!(stdin, "{request}")
-                    .map_err(|error| format!("cannot write to the worker: {error}"))?;
-            }
-            let stdout = child
-                .stdout
-                .take()
-                .ok_or_else(|| "worker stdout unavailable".to_string())?;
-            let (sender, receiver) = mpsc::channel();
-            // Supervision-layer reader thread: it only shuttles one reply
-            // line into the timeout loop. mp-lint: allow(thread-spawn)
-            std::thread::spawn(move || {
-                let mut reply = String::new();
-                let read = BufReader::new(stdout).read_line(&mut reply);
-                let _ = sender.send(read.map(|bytes| (bytes, reply)));
-            });
-            // Supervision-layer wall-clock read (shard timeout clock).
-            // mp-lint: allow(wallclock)
-            let started = Instant::now();
-            let read = loop {
-                match receiver.recv_timeout(Duration::from_millis(100)) {
-                    Ok(read) => break read,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Re-read the deadline every poll: the automatic
-                        // warm estimate may arrive while this worker runs.
-                        if let Some(deadline) = self.supervision.deadline() {
-                            if started.elapsed() >= deadline {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                return Err(format!(
-                                    "worker hung past the {deadline:?} shard \
-                                     timeout; killed"
-                                ));
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        break Err(std::io::Error::other("the reply reader died"));
+        let stdout = child.stdout.take().ok_or_else(|| "worker stdout unavailable".to_string())?;
+        let (sender, receiver) = mpsc::channel();
+        // Supervision-layer reader thread: it only shuttles one reply
+        // line into the timeout loop. mp-lint: allow(thread-spawn)
+        std::thread::spawn(move || {
+            let mut reply = String::new();
+            let read = BufReader::new(stdout).read_line(&mut reply);
+            let _ = sender.send(read.map(|bytes| (bytes, reply)));
+        });
+        let read = loop {
+            match receiver.recv_timeout(Duration::from_millis(100)) {
+                Ok(read) => break read,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if let Some(deadline) = attempt.expired() {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        return Err(format!(
+                            "worker hung past the {deadline:?} shard timeout; killed"
+                        ));
                     }
                 }
-            };
-            let status = child
-                .wait()
-                .map_err(|error| format!("cannot await the worker: {error}"))?;
-            match read {
-                Ok((0, _)) => Err(format!("worker exited without replying ({status})")),
-                Ok((_, reply)) => decode_reply(reply.trim(), self.config, plan),
-                Err(error) => Err(format!("cannot read the worker's reply: {error}")),
-            }
-        }
-
-        fn spawn_worker(&self) -> Result<Child, String> {
-            let mut command = match self.worker_cmd {
-                Some(cmd) => {
-                    let mut command = Command::new("sh");
-                    command.arg("-c").arg(cmd);
-                    command
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    break Err(std::io::Error::other("the reply reader died"));
                 }
-                None => {
-                    let exe = std::env::current_exe()
-                        .map_err(|error| format!("cannot locate this binary: {error}"))?;
-                    let mut command = Command::new(exe);
-                    command.arg("shard-worker");
-                    command
-                }
-            };
-            if let Some(dir) = self.faults.as_ref().and_then(FaultPlan::dir) {
-                // Workers must share the coordinator's claim directory, or a
-                // plan like crash@2 would fire once per worker process
-                // instead of once across the fleet.
-                command.env(parasite::experiments::FAULT_DIR_ENV, dir);
             }
-            command
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .spawn()
-                .map_err(|error| format!("cannot spawn a shard worker: {error}"))
+        };
+        let status =
+            child.wait().map_err(|error| format!("cannot await the worker: {error}"))?;
+        match read {
+            Ok((0, _)) => Err(format!("worker exited without replying ({status})")),
+            Ok((_, reply)) => decode_reply(reply.trim(), config, plan),
+            Err(error) => Err(format!("cannot read the worker's reply: {error}")),
         }
     }
 

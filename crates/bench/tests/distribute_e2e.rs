@@ -286,8 +286,9 @@ fn shard_worker_speaks_the_newline_json_protocol() {
     {
         let mut stdin = child.stdin.take().expect("worker stdin");
         // One valid assignment (APs [1, 3) of the 4-AP campaign), then three
-        // malformed lines; the worker must answer all four and exit on EOF.
-        // The last is a nesting bomb that once overflowed the stack (exit 134).
+        // malformed lines and one assignment the daemon's shard_submit would
+        // refuse; the worker must answer all five and exit on EOF. The
+        // nesting bomb once overflowed the stack (exit 134).
         writeln!(
             stdin,
             "{}",
@@ -301,12 +302,25 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         writeln!(stdin, "{{\"op\":\"fly\"}}").expect("write bad op");
         writeln!(stdin, "not json").expect("write garbage");
         writeln!(stdin, "{}", "[".repeat(100_000)).expect("write nesting bomb");
+        // A per-shard budget pool would make the merged result depend on
+        // the split, so a budgeted shard is refused, not run.
+        writeln!(
+            stdin,
+            "{}",
+            concat!(
+                "{\"op\":\"shard_run\",\"config\":{\"seed\":13,",
+                "\"fleet_clients\":2000,\"fleet_aps\":4,\"fleet_days\":3,",
+                "\"fleet_churn\":0.2,\"global_event_budget\":100000},",
+                "\"first_ap\":1,\"aps\":2}"
+            )
+        )
+        .expect("write budgeted assignment");
     }
     let output = child.wait_with_output().expect("worker exits");
     assert!(output.status.success(), "EOF is a clean exit");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 replies");
     let replies: Vec<&str> = stdout.lines().collect();
-    assert_eq!(replies.len(), 4, "one reply line per assignment: {stdout}");
+    assert_eq!(replies.len(), 5, "one reply line per assignment: {stdout}");
     assert!(
         replies[0].contains("\"type\":\"shard_result\"")
             && replies[0].contains("\"first_ap\":1")
@@ -329,6 +343,11 @@ fn shard_worker_speaks_the_newline_json_protocol() {
         replies[3].contains("\"type\":\"error\"") && replies[3].contains("nesting deeper"),
         "got: {}",
         replies[3]
+    );
+    assert!(
+        replies[4].contains("\"type\":\"error\"") && replies[4].contains("global_event_budget"),
+        "got: {}",
+        replies[4]
     );
 }
 

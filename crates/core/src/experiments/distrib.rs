@@ -27,13 +27,23 @@
 //! checkpoint is the same document with a narrower shard list. The
 //! single-process day loop in the `multiday` module now runs a
 //! full-coverage shard through [`run_shard`]; the `paper-report
-//! shard-worker` / `distribute` modes and the service daemon's
-//! `shard_submit` run narrower ones.
+//! shard-worker` mode and the service daemon's `shard_submit` run narrower
+//! ones through [`run_campaign_shard`].
+//!
+//! The [`Coordinator`] drives a whole distributed campaign: it scans the
+//! journal, plans the ranges still to run, executes them on a
+//! [`parallel_tasks`] pool with per-range retries and deadlines, journals
+//! each finished range and merges. What executes one range is a closure —
+//! `paper-report distribute` spawns a worker process per attempt, the
+//! packet-flood bench and the unit tests call [`run_campaign_shard`]
+//! in-process. The coordinator's [`Attempt`] clock is the one place this
+//! module reads the wall clock.
 
 use super::campaign::{
     fleet_jobs, mix_seed, plan_ap_tasks, requests_unprepared_object, share, simulate_ap_with,
     ApProfile, ApTask, CampaignFleetResult,
 };
+use super::faults::{FaultKind, FaultPlan};
 use super::multiday::{seat_visit_probs, DayStats, DAILY_CACHE_CLEAR, DAY_TAG, TARGET_TAG};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
@@ -43,6 +53,9 @@ use mp_webgen::{ChurningObject, StabilityClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Seed-stream tag for the per-(day, AP) seat streams: on day `d`, AP `a`
 /// draws its slice's churn/cache-clear/visit decisions from
@@ -483,6 +496,25 @@ fn merged_day(a: &DayStats, b: &DayStats) -> Result<DayStats, String> {
 // The shard day loop
 // ---------------------------------------------------------------------------
 
+/// Rejects configurations that cannot run as shards: a shard is a unit of
+/// the *multi-day* campaign, and a `global_event_budget` pool shared across
+/// shards would make the merged result depend on worker scheduling. The
+/// one check behind the shard-worker's `shard_run`, the daemon's
+/// `shard_submit` and the [`Coordinator`].
+pub fn check_shardable(config: &RunConfig) -> Result<(), ExperimentError> {
+    if config.fleet_days < 2 {
+        return Err(ExperimentError::Config("campaign shards need fleet_days >= 2".to_string()));
+    }
+    if config.global_event_budget > 0 {
+        return Err(ExperimentError::Config(
+            "campaign shards cannot carry a global_event_budget; a budget pool shared \
+             across shards would make the merged result depend on worker scheduling"
+                .to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// Runs one shard of a multi-day campaign from a fresh day-zero state to
 /// the configured horizon: the entry point for worker processes and the
 /// daemon's `shard_submit`. The outcome is the shard's mergeable partial
@@ -492,6 +524,7 @@ pub fn run_campaign_shard(
     plan: ShardPlan,
     ctx: &RunCtx,
 ) -> Result<ShardOutcome, ExperimentError> {
+    check_shardable(config)?;
     validate_campaign(config)?;
     let mut outcome = ShardOutcome::fresh(config, plan)?;
     run_shard(config, plan, ctx, &mut outcome, None, config.fleet_days.max(1))?;
@@ -1013,14 +1046,14 @@ pub(super) fn load_checkpoint(
 
 /// The result of scanning a journal directory.
 #[derive(Debug)]
-pub struct JournalScan {
+struct JournalScan {
     /// Validated, completed shard outcomes, sorted by first AP and
     /// pairwise disjoint.
-    pub outcomes: Vec<ShardOutcome>,
+    outcomes: Vec<ShardOutcome>,
     /// Entries discarded as damaged (torn writes, truncated JSON, bad seat
     /// bitmaps, incomplete horizons): the path and the reason. The files
     /// have been deleted — their ranges are simply re-run.
-    pub discarded: Vec<(PathBuf, String)>,
+    discarded: Vec<(PathBuf, String)>,
 }
 
 /// Why one journal entry could not be used.
@@ -1050,7 +1083,7 @@ fn journal_file_name(first_ap: usize, aps: usize) -> String {
 /// Writes one completed shard outcome into the journal directory
 /// (atomically, via the checkpoint writer's temp+rename), returning the
 /// entry's path.
-pub fn write_journal_entry(
+fn write_journal_entry(
     dir: &Path,
     config: &RunConfig,
     outcome: &ShardOutcome,
@@ -1104,7 +1137,7 @@ fn load_journal_entry(
 /// campaign or codec version aborts with a typed error instead of being
 /// deleted; overlapping entries (a journal shared by incompatible splits)
 /// abort likewise.
-pub fn scan_journal(dir: &Path, config: &RunConfig) -> Result<JournalScan, ExperimentError> {
+fn scan_journal(dir: &Path, config: &RunConfig) -> Result<JournalScan, ExperimentError> {
     let mut scan = JournalScan { outcomes: Vec::new(), discarded: Vec::new() };
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -1167,11 +1200,221 @@ pub fn scan_journal(dir: &Path, config: &RunConfig) -> Result<JournalScan, Exper
     Ok(scan)
 }
 
+// ---------------------------------------------------------------------------
+// The coordinator
+// ---------------------------------------------------------------------------
+
+/// Re-plans the AP ranges not yet covered by journaled outcomes: each
+/// contiguous uncovered run is split across the workers exactly as a
+/// fresh campaign's whole range would be, so an empty journal reproduces
+/// `ShardPlan::split` and the merged report never depends on where the
+/// previous coordinator died.
+fn uncovered_plans(config: &RunConfig, done: &[ShardOutcome], workers: usize) -> Vec<ShardPlan> {
+    let total = config.fleet_aps.max(1);
+    let mut covered = vec![false; total];
+    for outcome in done {
+        for (first_ap, aps) in outcome.covered_aps() {
+            for flag in covered.iter_mut().skip(first_ap).take(aps) {
+                *flag = true;
+            }
+        }
+    }
+    let mut plans = Vec::new();
+    let mut ap = 0;
+    while ap < total {
+        if covered[ap] {
+            ap += 1;
+            continue;
+        }
+        let start = ap;
+        while ap < total && !covered[ap] {
+            ap += 1;
+        }
+        plans.extend(ShardPlan::split_range(start, ap - start, workers));
+    }
+    plans
+}
+
+/// One attempt at one shard range, handed to the coordinator's executor
+/// closure: when the attempt started, and the deadline policy it runs
+/// under.
+pub struct Attempt<'a> {
+    started: Instant,
+    /// An explicit per-attempt deadline (`--shard-timeout`).
+    timeout: Option<Duration>,
+    /// The duration of the campaign's first successful attempt.
+    first_success: &'a OnceLock<Duration>,
+}
+
+impl Attempt<'_> {
+    /// The deadline this attempt has run past, if any — the executor polls
+    /// this and abandons the attempt once it returns `Some`. An explicit
+    /// shard timeout wins; otherwise the deadline is five times the first
+    /// successful attempt's duration, floored at ten seconds, and until any
+    /// attempt succeeds there is none (a cold first shard is not evidence
+    /// of a hang). Re-read on every poll, so the warm estimate applies to
+    /// attempts already running when it arrives.
+    pub fn expired(&self) -> Option<Duration> {
+        let deadline = self.timeout.or_else(|| {
+            self.first_success.get().map(|&warm| (warm * 5).max(Duration::from_secs(10)))
+        })?;
+        (self.started.elapsed() >= deadline).then_some(deadline)
+    }
+}
+
+/// The distributed-campaign coordinator: journal resume, range planning,
+/// per-range retries under a deadline, journaling and the final merge.
+/// What executes one range is the closure given to [`run`](Self::run), so
+/// the same coordination drives worker processes and in-process shards.
+pub struct Coordinator<'a> {
+    /// The campaign.
+    pub config: &'a RunConfig,
+    /// Concurrent ranges (and the split of every uncovered AP run).
+    pub workers: usize,
+    /// The journal directory that makes finished ranges durable.
+    pub journal: Option<&'a Path>,
+    /// Retries per range before the campaign fails.
+    pub retry_limit: usize,
+    /// An explicit per-attempt deadline; `None` uses the warm estimate
+    /// (see [`Attempt::expired`]).
+    pub shard_timeout: Option<Duration>,
+    /// The fault plan whose `torn` entries tear journal writes.
+    pub faults: Option<&'a FaultPlan>,
+}
+
+impl Coordinator<'_> {
+    /// Runs the campaign. A journal is scanned first: damaged entries are
+    /// discarded with a warning and only the uncovered ranges run. The
+    /// ranges run on a pool of `workers` threads, each calling `run_shard`
+    /// once per attempt; a failed attempt retries after a bounded
+    /// exponential backoff, with retries counted per range. A range that
+    /// exhausts `retry_limit` fails the campaign with an error naming it,
+    /// and ranges not yet started are skipped. Every finished range is
+    /// journaled, then all outcomes merge into the fleet artifact.
+    pub fn run<F>(&self, run_shard: F) -> Result<CampaignFleetResult, ExperimentError>
+    where
+        F: Fn(ShardPlan, &Attempt) -> Result<ShardOutcome, String> + Sync,
+    {
+        check_shardable(self.config)?;
+        let (done, plans) = match self.journal {
+            None => (Vec::new(), ShardPlan::split(self.config, self.workers)),
+            Some(dir) => {
+                let scan = scan_journal(dir, self.config)?;
+                for (path, why) in &scan.discarded {
+                    eprintln!(
+                        "warning: discarded damaged journal entry {} ({why}); \
+                         its range will re-run",
+                        path.display()
+                    );
+                }
+                if !scan.outcomes.is_empty() {
+                    eprintln!(
+                        "resuming from journal {}: {} completed shard(s)",
+                        dir.display(),
+                        scan.outcomes.len()
+                    );
+                }
+                let plans = uncovered_plans(self.config, &scan.outcomes, self.workers);
+                (scan.outcomes, plans)
+            }
+        };
+
+        let first_success = OnceLock::new();
+        let abort = AtomicBool::new(false);
+        let fresh = parallel_tasks(&plans, self.workers, |&plan| {
+            let outcome = self.run_range(plan, &run_shard, &first_success, &abort);
+            if outcome.is_err() {
+                abort.store(true, Ordering::Relaxed);
+            }
+            outcome
+        });
+        let fresh = fresh.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut outcomes = done.into_iter().chain(fresh.into_iter().flatten());
+        let first = outcomes
+            .next()
+            .ok_or_else(|| ExperimentError::Shard("no shards were planned".to_string()))?;
+        let merged = outcomes.try_fold(first, ShardOutcome::merge).map_err(|error| {
+            ExperimentError::Shard(format!("cannot merge shard outcomes: {error}"))
+        })?;
+        merged.into_fleet_result(self.config)
+    }
+
+    /// Runs one range to success or to its exhausted retry limit; `None`
+    /// when another range failed the campaign first.
+    fn run_range<F>(
+        &self,
+        plan: ShardPlan,
+        run_shard: &F,
+        first_success: &OnceLock<Duration>,
+        abort: &AtomicBool,
+    ) -> Result<Option<ShardOutcome>, ExperimentError>
+    where
+        F: Fn(ShardPlan, &Attempt) -> Result<ShardOutcome, String>,
+    {
+        let range = format!("[{}, {})", plan.first_ap, plan.first_ap + plan.aps);
+        let mut attempt = 0;
+        loop {
+            if abort.load(Ordering::Relaxed) {
+                return Ok(None);
+            }
+            let current = Attempt {
+                // Supervision-layer wall-clock read: shard deadlines are
+                // real time, not simulated time. mp-lint: allow(wallclock)
+                started: Instant::now(),
+                timeout: self.shard_timeout,
+                first_success,
+            };
+            let message = match run_shard(plan, &current) {
+                Ok(outcome) => {
+                    let _ = first_success.set(current.started.elapsed());
+                    self.journal_outcome(&outcome)?;
+                    return Ok(Some(outcome));
+                }
+                Err(message) => message,
+            };
+            if attempt >= self.retry_limit {
+                return Err(ExperimentError::Shard(format!(
+                    "range {range} failed {} time(s), exhausting --retry-limit {}: {message}",
+                    attempt + 1,
+                    self.retry_limit
+                )));
+            }
+            let backoff = Duration::from_millis((50u64 << attempt.min(5)).min(2_000));
+            eprintln!(
+                "warning: shard {range} attempt {}/{} failed ({message}); retrying in {}ms",
+                attempt + 1,
+                self.retry_limit + 1,
+                backoff.as_millis()
+            );
+            std::thread::sleep(backoff);
+            attempt += 1;
+        }
+    }
+
+    /// Writes one finished range into the journal (when one is configured).
+    /// A planned torn-write fault leaves a strict prefix of the entry at its
+    /// final path and kills the coordinator — exactly the damage a power cut
+    /// mid-write would leave for the resume path to discard.
+    fn journal_outcome(&self, outcome: &ShardOutcome) -> Result<(), ExperimentError> {
+        let Some(dir) = self.journal else { return Ok(()) };
+        let torn = self.faults.filter(|plan| plan.claim_journal() == Some(FaultKind::Torn));
+        let path = write_journal_entry(dir, self.config, outcome)?;
+        if let Some(plan) = torn {
+            let document = std::fs::read_to_string(&path).unwrap_or_default();
+            let _ = std::fs::write(&path, plan.garble(&document));
+            eprintln!("fault: torn journal write at {}; dying", path.display());
+            std::process::exit(17);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{ExperimentId, Registry};
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn small_config() -> RunConfig {
         RunConfig {
@@ -1531,6 +1774,96 @@ mod tests {
             }
             other => panic!("expected an overlap abort, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The in-process executor: one shard on the calling thread.
+    fn in_process(config: &RunConfig, plan: ShardPlan) -> Result<ShardOutcome, String> {
+        run_campaign_shard(config, plan, &RunCtx::default()).map_err(|error| error.to_string())
+    }
+
+    fn coordinator<'a>(
+        config: &'a RunConfig,
+        workers: usize,
+        journal: Option<&'a Path>,
+        retry_limit: usize,
+    ) -> Coordinator<'a> {
+        Coordinator { config, workers, journal, retry_limit, shard_timeout: None, faults: None }
+    }
+
+    #[test]
+    fn a_coordinator_that_retries_every_range_still_merges_byte_identically() {
+        let config = small_config();
+        let reference = Registry::get(ExperimentId::CampaignFleet).run(&config);
+        let reference = reference.data.as_campaign_fleet().expect("campaign artifact");
+        // Every range's first attempt fails; its retry runs the shard.
+        let failed_once = std::sync::Mutex::new(Vec::new());
+        let result = coordinator(&config, 3, None, 1)
+            .run(|plan, _| {
+                let mut failed = failed_once.lock().unwrap();
+                if !failed.contains(&plan) {
+                    failed.push(plan);
+                    return Err("injected first-attempt failure".to_string());
+                }
+                drop(failed);
+                in_process(&config, plan)
+            })
+            .expect("every range succeeds on its retry");
+        assert_eq!(failed_once.into_inner().unwrap().len(), 3, "three ranges, each retried");
+        assert_eq!(result.to_json().to_string(), reference.to_json().to_string());
+    }
+
+    #[test]
+    fn an_exhausted_range_names_itself_and_skips_the_ranges_not_started() {
+        let config = small_config();
+        let dir = std::env::temp_dir()
+            .join(format!("mp-distrib-test-{}-exhausted", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A journal holding only the middle range leaves two gaps: [0, 1)
+        // and [3, 4), run one after the other by a single worker.
+        let middle = ShardPlan { first_ap: 1, aps: 2 };
+        let outcome = in_process(&config, middle).expect("middle range runs");
+        write_journal_entry(&dir, &config, &outcome).expect("journal entry");
+        let calls = AtomicUsize::new(0);
+        let error = coordinator(&config, 1, Some(&dir), 0)
+            .run(|_, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                Err("injected failure".to_string())
+            })
+            .expect_err("the first range exhausts its retry limit");
+        match error {
+            ExperimentError::Shard(message) => {
+                assert!(message.contains("range [0, 1)"), "got: {message}");
+                assert!(message.contains("exhausting --retry-limit 0"), "got: {message}");
+            }
+            other => panic!("expected a shard error, got {other:?}"),
+        }
+        assert_eq!(calls.into_inner(), 1, "the later range [3, 4) never starts");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_resume_runs_only_the_missing_range() {
+        let config = small_config();
+        let dir = std::env::temp_dir()
+            .join(format!("mp-distrib-test-{}-resume", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = coordinator(&config, 2, Some(&dir), 0)
+            .run(|plan, _| in_process(&config, plan))
+            .expect("journaled run");
+        std::fs::remove_file(dir.join(journal_file_name(2, 2))).expect("delete one entry");
+        let ran = std::sync::Mutex::new(Vec::new());
+        let resumed = coordinator(&config, 2, Some(&dir), 0)
+            .run(|plan, _| {
+                ran.lock().unwrap().push(plan);
+                in_process(&config, plan)
+            })
+            .expect("resumed run");
+        // Only the deleted range [2, 4) re-runs, split across the workers.
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_by_key(|plan| plan.first_ap);
+        assert_eq!(ran, ShardPlan::split_range(2, 2, 2));
+        assert_eq!(resumed.to_json().to_string(), first.to_json().to_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -197,16 +197,29 @@ impl FaultPlan {
         self.dir.as_deref()
     }
 
-    /// Whether any fault is armed on the assignment sequence.
-    pub fn arms_assignments(&self) -> bool {
-        !self.assignment.is_empty()
-    }
-
     /// Claims the next position in the assignment sequence and returns the
     /// fault armed there, if any. Call once per shard assignment served.
     pub fn claim_assignment(&self) -> Option<FaultKind> {
         let sequence = self.next_sequence("assign", &self.local_assignment);
         self.assignment.get(&sequence).copied()
+    }
+
+    /// Claims the next assignment and acts out the fault armed there: exit
+    /// with code 3 on `crash`, sleep until killed on `hang`. Returns whether
+    /// the reply line must be [`garble`](Self::garble)d. The one fault hook
+    /// of every process that serves shard assignments.
+    pub fn enact_assignment(&self) -> bool {
+        match self.claim_assignment() {
+            Some(FaultKind::Crash) => std::process::exit(3),
+            Some(FaultKind::Hang) => loop {
+                // Until the coordinator's shard timeout kills this process.
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            },
+            // A torn pipe write and a garbled line look the same to the
+            // coordinator: a strict prefix that can never parse whole.
+            Some(FaultKind::Garble | FaultKind::Torn) => true,
+            None => false,
+        }
     }
 
     /// Claims the next position in the journal-write sequence and returns

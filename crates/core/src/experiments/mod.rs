@@ -33,7 +33,7 @@ mod tables;
 
 pub use campaign::{ApProfile, CampaignFleetResult};
 pub use distrib::{
-    run_campaign_shard, scan_journal, write_journal_entry, JournalScan, ShardOutcome, ShardPlan,
+    check_shardable, run_campaign_shard, Attempt, Coordinator, ShardOutcome, ShardPlan,
 };
 pub use faults::{FaultKind, FaultPlan, FAULT_DIR_ENV, FAULT_PLAN_ENV};
 pub use multiday::{
@@ -990,7 +990,8 @@ impl Registry {
 
 /// Runs `run` over every task on a pool of `jobs` scoped worker threads,
 /// returning results in task order. `jobs <= 1` runs inline. Used by the
-/// experiment batch runner and by the campaign fleet's per-AP sweep.
+/// experiment batch runner, the campaign fleet's per-AP sweep and the
+/// distributed-campaign [`Coordinator`].
 pub(crate) fn parallel_tasks<T, R, F>(tasks: &[T], jobs: usize, run: F) -> Vec<R>
 where
     T: Sync,

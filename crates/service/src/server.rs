@@ -27,9 +27,9 @@
 use crate::protocol::{codes, Request, Response, RunOutcome, RunState, RunStatus};
 use mp_netsim::sim::SharedBudget;
 use parasite::experiments::{
-    run_campaign_shard, run_campaign_with_checkpoint_ctx, Artifact, ArtifactData, CancelToken,
-    DaySink, DayStats, ExperimentError, ExperimentId, FaultKind, FaultPlan, Registry, RunConfig,
-    RunCtx, ShardPlan,
+    check_shardable, run_campaign_shard, run_campaign_with_checkpoint_ctx, Artifact,
+    ArtifactData, CancelToken, DaySink, DayStats, ExperimentError, ExperimentId, FaultPlan,
+    Registry, RunConfig, RunCtx, ShardPlan,
 };
 use parasite::json::{Json, ToJson};
 use std::collections::{BTreeMap, VecDeque};
@@ -425,23 +425,15 @@ fn dispatch(
             // out over daemons can be chaos-tested: crash before the result,
             // hang until the coordinator's timeout kills us, or garble the
             // result line.
-            let fault = FaultPlan::global().and_then(FaultPlan::claim_assignment);
-            match fault {
-                Some(FaultKind::Crash) => std::process::exit(3),
-                Some(FaultKind::Hang) => loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                },
-                _ => {}
-            }
+            let garbler = FaultPlan::global().filter(|plan| plan.enact_assignment());
             match shard_submit(shared, *config, first_ap, aps) {
                 Ok((run, outcome)) => {
                     let response = Response::ShardResult { run, outcome };
-                    if matches!(fault, Some(FaultKind::Garble) | Some(FaultKind::Torn)) {
-                        let line = response.to_json().to_string();
-                        let plan = FaultPlan::global().expect("a fault implies a plan");
-                        connection.write_raw_line(plan.garble(&line))
-                    } else {
-                        connection.write_line(&response)
+                    match garbler {
+                        Some(plan) => {
+                            connection.write_raw_line(plan.garble(&response.to_json().to_string()))
+                        }
+                        None => connection.write_line(&response),
                     }
                 }
                 Err((message, code)) => {
@@ -536,17 +528,7 @@ fn shard_submit(
             codes::UNAVAILABLE,
         ));
     }
-    if config.fleet_days < 2 {
-        return Err(("shard submissions need fleet_days >= 2".to_string(), codes::BAD_REQUEST));
-    }
-    if config.global_event_budget > 0 {
-        return Err((
-            "shard submissions cannot carry a global_event_budget; a budget pool shared \
-             across shards would make the merged result depend on worker scheduling"
-                .to_string(),
-            codes::BAD_REQUEST,
-        ));
-    }
+    check_shardable(&config).map_err(|error| (error.to_string(), codes::BAD_REQUEST))?;
     let mut state = shared.state.lock().unwrap();
     state.next_run += 1;
     let run = state.next_run;
