@@ -15,18 +15,13 @@
 //! `failed_aps`) instead of aborting the sweep.
 
 use super::multiday::DayStats;
-use super::tables::{build_race_world, RaceTiming, RaceWorld};
+use super::tables::{build_race_world, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::json::{Json, ToJson};
-use crate::script::Parasite;
-use mp_httpsim::message::{Request, Response};
-use mp_httpsim::url::Url;
-use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::dist::Dist;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
-use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -117,6 +112,7 @@ impl ApProfile {
             attacker_reaction_us: self.attacker_reaction_us,
             wifi_latency_us: self.wifi_latency_us,
             server_one_way_us: self.wan_latency_us,
+            jitter_us: self.jitter_us,
         }
     }
 }
@@ -297,9 +293,8 @@ pub(super) struct ApOutcome {
     pub(super) payload_bytes: u64,
     pub(super) injected_events: u64,
     pub(super) pending_bytes_dropped: u64,
-    /// Per-client infection outcome by local index; only filled when the
-    /// caller asked for flags (the multi-day loop maps them back to campaign
-    /// slots), empty otherwise.
+    /// Per-client infection outcome by local index (the multi-day loop maps
+    /// them back to campaign slots).
     pub(super) infected_flags: Vec<bool>,
 }
 
@@ -320,70 +315,28 @@ pub(super) fn requests_unprepared_object(client_index: usize) -> bool {
     client_index % 8 == 7
 }
 
-/// Simulates one café AP: `task.clients` victims joining the shared-WiFi
-/// race world of [`build_race_world`] (the exact Figure 2 / Table II
-/// topology and timing, or the AP's heterogeneous profile), with an
-/// always-bounded `SummaryOnly` trace. `unprepared(index)` decides which
-/// clients ask for an object the master has not prepared; `record_flags`
-/// fills [`ApOutcome::infected_flags`] with the per-client outcome.
+/// Simulates one café AP: `task.clients` victims racing in the shared-WiFi
+/// world of [`build_race_world`] (the exact Figure 2 / Table II topology and
+/// timing, or the AP's heterogeneous profile), with an always-bounded
+/// `SummaryOnly` trace. `unprepared(index)` decides which clients ask for an
+/// object the master has not prepared.
 pub(super) fn simulate_ap_with(
     task: &ApTask,
     config: &RunConfig,
     shared: Option<&SharedBudget>,
     unprepared: &(dyn Fn(usize) -> bool + Sync),
-    record_flags: bool,
 ) -> Result<ApOutcome, NetError> {
-    let timing = task.profile.map(|p| p.timing()).unwrap_or(RaceTiming::PAPER);
-    let jitter_us = config.jitter_us + task.profile.map(|p| p.jitter_us).unwrap_or(0);
-    let RaceWorld {
-        mut sim,
-        wifi,
-        server,
-        target,
-    } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
-    if jitter_us > 0 {
-        sim.set_medium_jitter(wifi, SimDuration::from_micros(jitter_us));
-    }
+    let mut timing = task.profile.map(|p| p.timing()).unwrap_or(RaceTiming::PAPER);
+    timing.jitter_us += config.jitter_us;
+    let mut world = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
+    let infected_flags = world.race(task.clients, unprepared)?;
+    let infected = infected_flags.iter().filter(|&&flag| flag).count();
 
-    let other = Url::parse("http://somesite.com/weather.js").expect("static url");
-    let mut connections = Vec::with_capacity(task.clients);
-    for index in 0..task.clients {
-        let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
-        let client = sim.add_host("client", ip, wifi);
-        let conn = sim.connect(client, server, 80)?;
-        let url = if unprepared(index) { &other } else { &target };
-        sim.send(client, conn, &Request::get(url.clone()).to_wire())?;
-        connections.push((client, conn));
-    }
-    sim.run_until_idle()?;
-
-    let mut infected = 0usize;
-    let mut clean = 0usize;
-    let mut infected_flags = Vec::new();
-    if record_flags {
-        infected_flags.reserve(connections.len());
-    }
-    for (client, conn) in connections {
-        let delivered = sim.received(client, conn);
-        let got_parasite = Response::from_wire(&delivered)
-            .ok()
-            .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-            .unwrap_or(false);
-        if got_parasite {
-            infected += 1;
-        } else {
-            clean += 1;
-        }
-        if record_flags {
-            infected_flags.push(got_parasite);
-        }
-    }
-
-    let summary = *sim.trace().summary();
+    let summary = *world.sim.trace().summary();
     Ok(ApOutcome {
         infected,
-        clean,
-        events: sim.events_processed(),
+        clean: infected_flags.len() - infected,
+        events: world.sim.events_processed(),
         payload_bytes: summary.payload_bytes,
         injected_events: summary.injected_events,
         pending_bytes_dropped: summary.pending_bytes_dropped,
@@ -567,7 +520,7 @@ fn campaign_fleet_shard(
 
     let jobs = fleet_jobs(config, aps);
     let outcomes = parallel_tasks(&tasks, jobs, |task| {
-        simulate_ap_with(task, config, shared, &requests_unprepared_object, false)
+        simulate_ap_with(task, config, shared, &requests_unprepared_object)
     });
 
     let mut result = CampaignFleetResult {
@@ -771,7 +724,7 @@ mod tests {
         };
         let task = ApTask { seed: 42, clients: 16, profile: Some(slow_master) };
         let config = RunConfig::default();
-        let outcome = simulate_ap_with(&task, &config, None, &requests_unprepared_object, true)
+        let outcome = simulate_ap_with(&task, &config, None, &requests_unprepared_object)
             .expect("simulation completes");
         assert_eq!(outcome.infected, 0, "the genuine response always arrives first");
         assert_eq!(outcome.clean, 16);
@@ -779,7 +732,7 @@ mod tests {
 
         // The paper's timing, for contrast, wins for every prepared request.
         let paper = ApTask { seed: 42, clients: 16, profile: None };
-        let outcome = simulate_ap_with(&paper, &config, None, &requests_unprepared_object, true)
+        let outcome = simulate_ap_with(&paper, &config, None, &requests_unprepared_object)
             .expect("simulation completes");
         assert_eq!(outcome.infected, 14, "every prepared request is infected");
         assert_eq!(outcome.clean, 2);

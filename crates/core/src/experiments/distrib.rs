@@ -681,7 +681,7 @@ fn run_shard_day(
         let unprepared = |local: usize| {
             object_rotated || requests_unprepared_object(ap_day.seats[local] as usize)
         };
-        simulate_ap_with(&ap_day.task, config, shared, &unprepared, true)
+        simulate_ap_with(&ap_day.task, config, shared, &unprepared)
     });
 
     let mut newly_infected = 0usize;

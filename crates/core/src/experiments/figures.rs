@@ -104,15 +104,13 @@ pub(super) fn fig2_infection_flow(
     ctx: &RunCtx,
 ) -> Result<FlowTrace, ExperimentError> {
     let shared = ctx.budget_for(config);
-    let race = super::tables::run_race_simulation(
+    let sim = super::tables::run_race_simulation(
         config.seed,
-        300,
-        40_000,
         config.event_budget,
         mp_netsim::capture::TraceMode::Full,
         shared.as_ref(),
     )?;
-    let trace = race.sim.trace();
+    let trace = sim.trace();
     let mut steps: Vec<String> = trace
         .with_payload()
         .map(|event| trace.describe(event))

@@ -23,17 +23,13 @@
 
 use super::campaign::{fleet_jobs, mix_seed, MAX_CLIENTS_PER_AP};
 use super::multiday::DAILY_CACHE_CLEAR;
-use super::tables::{build_race_world, RaceTiming, RaceWorld};
+use super::tables::{build_race_world, RaceTiming};
 use super::{parallel_tasks, ExperimentError, RunConfig, RunCtx};
 use crate::defense::{stage_survives, AttackStage, Defense};
 use crate::json::{Json, ToJson};
-use crate::script::Parasite;
-use mp_httpsim::message::{Request, Response};
-use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::error::NetError;
 use mp_netsim::sim::SharedBudget;
-use mp_netsim::time::Duration as SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -394,9 +390,7 @@ impl ToJson for SurfaceResult {
 /// outcomes, it does not change the packet-level race.
 struct CellTask {
     seed: u64,
-    delay_us: u64,
-    wan_us: u64,
-    jitter_us: u64,
+    timing: RaceTiming,
 }
 
 /// Outcome of one cell's race world: per-trial win flags plus the event count.
@@ -412,41 +406,9 @@ fn run_cell(
     config: &RunConfig,
     shared: Option<&SharedBudget>,
 ) -> Result<CellOutcome, NetError> {
-    let timing = RaceTiming {
-        attacker_reaction_us: task.delay_us,
-        server_one_way_us: task.wan_us,
-        ..RaceTiming::PAPER
-    };
-    let RaceWorld {
-        mut sim,
-        wifi,
-        server,
-        target,
-    } = build_race_world(task.seed, &timing, config.event_budget, TraceMode::SummaryOnly, shared);
-    if task.jitter_us > 0 {
-        sim.set_medium_jitter(wifi, SimDuration::from_micros(task.jitter_us));
-    }
-
-    let mut connections = Vec::with_capacity(config.surface_trials);
-    for index in 0..config.surface_trials {
-        let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
-        let client = sim.add_host("client", ip, wifi);
-        let conn = sim.connect(client, server, 80)?;
-        sim.send(client, conn, &Request::get(target.clone()).to_wire())?;
-        connections.push((client, conn));
-    }
-    sim.run_until_idle()?;
-
-    let wins = connections
-        .into_iter()
-        .map(|(client, conn)| {
-            Response::from_wire(&sim.received(client, conn))
-                .ok()
-                .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-                .unwrap_or(false)
-        })
-        .collect();
-    Ok(CellOutcome { wins, events: sim.events_processed() })
+    let mut world = build_race_world(task.seed, &task.timing, config.event_budget, TraceMode::SummaryOnly, shared);
+    let wins = world.race(config.surface_trials, |_| false)?;
+    Ok(CellOutcome { wins, events: world.sim.events_processed() })
 }
 
 /// The linearly spaced reaction-delay axis.
@@ -550,9 +512,12 @@ pub(super) fn attack_surface(
                 wans.iter().enumerate().flat_map(move |(w, &wan_us)| {
                     jitters.iter().enumerate().map(move |(j, &jitter_us)| CellTask {
                         seed: mix_seed(config.seed, SURFACE_TAG ^ cell_tag(v, d, w, j)),
-                        delay_us,
-                        wan_us,
-                        jitter_us,
+                        timing: RaceTiming {
+                            attacker_reaction_us: delay_us,
+                            server_one_way_us: wan_us,
+                            jitter_us,
+                            ..RaceTiming::PAPER
+                        },
                     })
                 })
             })

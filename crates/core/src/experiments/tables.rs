@@ -16,10 +16,13 @@ use mp_apps::banking::BankingApp;
 use mp_apps::webmail::WebMailApp;
 use mp_browser::browser::{Browser, FetchSource};
 use mp_browser::profile::{BrowserProfile, OperatingSystem};
+use bytes::Bytes;
 use mp_httpsim::body::{Body, ResourceKind};
+use mp_httpsim::headers::names;
 use mp_httpsim::message::{Request, Response};
 use mp_httpsim::transport::{Exchange, Internet, StaticOrigin};
 use mp_httpsim::url::{Scheme, Url};
+use mp_netsim::addr::IpAddr;
 use mp_netsim::capture::TraceMode;
 use mp_netsim::error::NetError;
 use mp_netsim::link::MediumKind;
@@ -210,18 +213,6 @@ impl ToJson for Table2Result {
     }
 }
 
-/// A completed packet-level injection race, kept around so callers can
-/// inspect what the victim received ([`injection_race`]) or the full packet
-/// trace (the Figure 2 flow).
-pub(super) struct RaceRun {
-    /// The simulator after `run_until_idle`.
-    pub(super) sim: Simulator,
-    /// The victim host.
-    pub(super) victim: mp_netsim::endpoint::HostId,
-    /// The victim's connection to the genuine server.
-    pub(super) conn: mp_netsim::endpoint::ConnId,
-}
-
 /// Link/attacker timing for one race world. The paper's Figure 2 numbers are
 /// [`RaceTiming::PAPER`]; the heterogeneous campaign draws per-AP variants
 /// from seeded distributions (see `ApProfile` in the campaign module).
@@ -234,32 +225,109 @@ pub(super) struct RaceTiming {
     pub(super) wifi_latency_us: u64,
     /// One-way WAN latency to the genuine server, in microseconds.
     pub(super) server_one_way_us: u64,
+    /// Per-packet jitter bound on the shared WiFi, in microseconds.
+    pub(super) jitter_us: u64,
 }
 
 impl RaceTiming {
     /// The paper's Figure 2 / Table II timing: 0.3 ms attacker reaction, 2 ms
-    /// WiFi hop, 40 ms one-way WAN.
+    /// WiFi hop, 40 ms one-way WAN, no jitter.
     pub(super) const PAPER: RaceTiming = RaceTiming {
         attacker_reaction_us: 300,
         wifi_latency_us: 2_000,
         server_one_way_us: 40_000,
+        jitter_us: 0,
     };
+}
+
+/// Classifies what a victim received: did it end up with the parasite?
+///
+/// A race world knows the two responses a victim can get, the master's forged
+/// one and the genuine one, so their verdicts are computed once and a stream
+/// that starts with one of those wires gets its verdict. This is exact:
+/// `Response::from_wire` frames the body by `Content-Length` and ignores
+/// trailing bytes, so a stream that starts with a complete, exactly framed
+/// message parses as that message whatever follows it (a losing master's
+/// tail behind the genuine response, say). Any other stream takes the full
+/// parse.
+struct Verdicts {
+    known: Vec<(Bytes, bool)>,
+}
+
+impl Verdicts {
+    /// Registers every wire that parses and whose `Content-Length` counts
+    /// every byte after its head, with the verdict of the full parse.
+    fn new(wires: impl IntoIterator<Item = Bytes>) -> Verdicts {
+        let framed = |wire: Bytes| {
+            let response = Response::from_wire(&wire).ok()?;
+            let head = wire.windows(4).position(|w| w == b"\r\n\r\n")?;
+            let length = response.headers.get(names::CONTENT_LENGTH)?.parse::<usize>().ok()?;
+            let infected = Parasite::detect(&response.body.as_text()).is_some();
+            (length == wire.len() - head - 4).then_some((wire, infected))
+        };
+        Verdicts { known: wires.into_iter().filter_map(framed).collect() }
+    }
+
+    /// Whether the victim that received `delivered` ended up with the
+    /// parasite.
+    fn infected(&self, delivered: &[u8]) -> bool {
+        match self.known.iter().find(|(wire, _)| delivered.starts_with(wire)) {
+            Some(&(_, infected)) => infected,
+            None => parse_verdict(delivered),
+        }
+    }
+}
+
+/// The full classification: parse the stream as an HTTP response and scan
+/// its body for the parasite.
+fn parse_verdict(delivered: &[u8]) -> bool {
+    Response::from_wire(delivered).is_ok_and(|r| Parasite::detect(&r.body.as_text()).is_some())
 }
 
 /// The paper's race world before any victims are attached: a shared-WiFi
 /// access network with the master's tap on it, and the genuine server for
-/// `somesite.com/my.js` across the WAN. [`run_race_simulation`] adds the
-/// single victim of Figure 2 / Table II; the campaign fleet experiment adds
-/// a whole café of them.
+/// `somesite.com/my.js` across the WAN. [`RaceWorld::race`] attaches the
+/// victims of Table II, the campaign fleet and the attack-surface sweep;
+/// [`run_race_simulation`] attaches the single traced victim of Figure 2.
 pub(super) struct RaceWorld {
     /// The simulator with media, server, responder and tap wired up.
     pub(super) sim: Simulator,
     /// The shared-WiFi medium victims attach to.
-    pub(super) wifi: mp_netsim::link::MediumId,
+    wifi: mp_netsim::link::MediumId,
     /// The genuine server (listening on port 80).
-    pub(super) server: mp_netsim::endpoint::HostId,
-    /// The object the master races for.
-    pub(super) target: Url,
+    server: mp_netsim::endpoint::HostId,
+    /// The requests for the target object and for `somesite.com/weather.js`,
+    /// which the master has not prepared, each encoded once per world.
+    requests: [Bytes; 2],
+    /// Verdicts of the forged and the genuine response.
+    verdicts: Verdicts,
+}
+
+impl RaceWorld {
+    /// Attaches `victims` clients to the shared WiFi (client `i` at
+    /// `10.(i >> 8).(i & 0xff).2`, asking for the unprepared object if
+    /// `unprepared(i)`), runs the world to idle and returns, per client,
+    /// whether it ended up with the parasite.
+    pub(super) fn race(
+        &mut self,
+        victims: usize,
+        unprepared: impl Fn(usize) -> bool,
+    ) -> Result<Vec<bool>, NetError> {
+        let mut connections = Vec::with_capacity(victims);
+        for index in 0..victims {
+            let ip = IpAddr::new(10, (index >> 8) as u8, (index & 0xff) as u8, 2);
+            let client = self.sim.add_host("client", ip, self.wifi);
+            let conn = self.sim.connect(client, self.server, 80)?;
+            let request = self.requests[usize::from(unprepared(index))].clone();
+            self.sim.send_bytes(client, conn, request)?;
+            connections.push((client, conn));
+        }
+        self.sim.run_until_idle()?;
+        Ok(connections
+            .into_iter()
+            .map(|(client, conn)| self.verdicts.infected(self.sim.host(client).received(conn)))
+            .collect())
+    }
 }
 
 /// Builds the race world under the given [`RaceTiming`], with at most
@@ -275,12 +343,15 @@ pub(super) fn build_race_world(
 ) -> RaceWorld {
     let master = Master::new(MASTER_HOST);
     let target = Url::parse("http://somesite.com/my.js").expect("static url");
+    let other = Url::parse("http://somesite.com/weather.js").expect("static url");
     let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "function genuine(){}"))
         .with_cache_control("public, max-age=86400");
     let (tap, _stats) = master.packet_tap(
         &[(target.clone(), genuine.clone())],
         SimDuration::from_micros(timing.attacker_reaction_us),
     );
+    let forged = tap.prepared_wire(&target).expect("the target was just prepared").clone();
+    let genuine = Bytes::from(genuine.to_wire());
 
     let mut sim = Simulator::new(seed)
         .with_event_budget(event_budget)
@@ -290,77 +361,71 @@ pub(super) fn build_race_world(
     }
     let wifi = sim.add_medium(MediumKind::SharedWireless, timing.wifi_latency_us);
     let wan = sim.add_medium(MediumKind::WideArea, timing.server_one_way_us);
-    let server = sim.add_host("server", mp_netsim::addr::IpAddr::new(203, 0, 113, 10), wan);
+    let server = sim.add_host("server", IpAddr::new(203, 0, 113, 10), wan);
     sim.listen(server, 80);
     sim.set_service(
         server,
-        Box::new(FixedResponder::new(genuine.to_wire(), SimDuration::from_micros(500))),
+        Box::new(FixedResponder::new(genuine.clone(), SimDuration::from_micros(500))),
     );
     sim.add_tap(wifi, Box::new(tap));
+    if timing.jitter_us > 0 {
+        sim.set_medium_jitter(wifi, SimDuration::from_micros(timing.jitter_us));
+    }
 
     RaceWorld {
         sim,
         wifi,
         server,
-        target,
+        requests: [target, other].map(|url| Bytes::from(Request::get(url).to_wire())),
+        verdicts: Verdicts::new([forged, genuine]),
     }
 }
 
-/// Builds and runs the paper's injection race: one victim on the shared WiFi
-/// of [`build_race_world`] requesting the target object.
+/// Builds and runs the paper's injection race with one victim on the shared
+/// WiFi of [`build_race_world`] requesting the target object, and returns the
+/// simulator so the Figure 2 flow can read its packet trace.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::EventBudgetExhausted`] if the budget runs out.
 pub(super) fn run_race_simulation(
     seed: u64,
-    attacker_reaction_us: u64,
-    server_one_way_us: u64,
     event_budget: u64,
     trace_mode: TraceMode,
     shared: Option<&SharedBudget>,
-) -> Result<RaceRun, NetError> {
-    let timing = RaceTiming {
-        attacker_reaction_us,
-        server_one_way_us,
-        ..RaceTiming::PAPER
-    };
+) -> Result<Simulator, NetError> {
     let RaceWorld {
         mut sim,
         wifi,
         server,
-        target,
-    } = build_race_world(seed, &timing, event_budget, trace_mode, shared);
-    let victim = sim.add_host("victim", mp_netsim::addr::IpAddr::new(10, 0, 0, 2), wifi);
+        requests: [request, _],
+        ..
+    } = build_race_world(seed, &RaceTiming::PAPER, event_budget, trace_mode, shared);
+    let victim = sim.add_host("victim", IpAddr::new(10, 0, 0, 2), wifi);
     let conn = sim.connect(victim, server, 80).expect("hosts exist");
-    sim.send(victim, conn, &Request::get(target).to_wire()).expect("connection exists");
+    sim.send_bytes(victim, conn, request).expect("connection exists");
     sim.run_until_idle()?;
-
-    Ok(RaceRun { sim, victim, conn })
+    Ok(sim)
 }
 
 /// One packet-level injection race; returns `true` if the victim ends up
 /// with the parasite.
 fn injection_race(
     seed: u64,
-    attacker_reaction_us: u64,
-    server_one_way_us: u64,
+    timing: &RaceTiming,
     event_budget: u64,
     trace_mode: TraceMode,
     shared: Option<&SharedBudget>,
 ) -> Result<bool, NetError> {
-    let race = run_race_simulation(seed, attacker_reaction_us, server_one_way_us, event_budget, trace_mode, shared)?;
-    Ok(Response::from_wire(&race.sim.received(race.victim, race.conn))
-        .ok()
-        .map(|r| Parasite::detect(&r.body.as_text()).is_some())
-        .unwrap_or(false))
+    let mut world = build_race_world(seed, timing, event_budget, trace_mode, shared);
+    Ok(world.race(1, |_| false)?[0])
 }
 
 /// Runs one packet-level injection race with the paper's standard timing
 /// (0.3 ms attacker reaction, 40 ms one-way WAN) and reports whether the
 /// victim ended up with the parasite.
 pub fn run_injection_race(seed: u64) -> bool {
-    injection_race(seed, 300, 40_000, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
+    injection_race(seed, &RaceTiming::PAPER, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
         .expect("the standard race stays far within the default event budget")
 }
 
@@ -370,7 +435,8 @@ pub fn run_injection_race(seed: u64) -> bool {
 /// parasite. Used by the race-crossover ablation: the attack only works while
 /// the spoofed response beats the genuine one to the victim.
 pub fn injection_race_with_timing(attacker_reaction_us: u64, server_one_way_us: u64) -> bool {
-    injection_race(1234, attacker_reaction_us, server_one_way_us, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
+    let timing = RaceTiming { attacker_reaction_us, server_one_way_us, ..RaceTiming::PAPER };
+    injection_race(1234, &timing, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
         .expect("the parametric race stays far within the default event budget")
 }
 
@@ -393,7 +459,7 @@ pub(super) fn table2_injection_matrix(
             // TCP injection does not depend on the browser or OS (both follow
             // the TCP specification); run the race to confirm it.
             let seed = config.seed.wrapping_add((os_index * 16 + browser_index) as u64 + 1);
-            if injection_race(seed, 300, 40_000, config.event_budget, config.trace_mode, shared.as_ref())? {
+            if injection_race(seed, &RaceTiming::PAPER, config.event_budget, config.trace_mode, shared.as_ref())? {
                 cells.push(InjectionCell::Success);
             } else {
                 cells.push(InjectionCell::Failure);
@@ -852,4 +918,126 @@ pub(super) fn table5_attacks(
     reports.push(attacks::browser_ddos(250, 40, "192.168.0.1"));
 
     Ok(Table5Result { reports })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mp_netsim::endpoint::HostId;
+    use proptest::prelude::*;
+
+    fn paper_world() -> RaceWorld {
+        build_race_world(1, &RaceTiming::PAPER, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None)
+    }
+
+    /// The forged and the genuine wire of the paper's race world.
+    fn known_wires() -> (Bytes, Bytes) {
+        let world = paper_world();
+        (world.verdicts.known[0].0.clone(), world.verdicts.known[1].0.clone())
+    }
+
+    #[test]
+    fn both_race_responses_are_registered_with_their_full_parse_verdicts() {
+        let world = paper_world();
+        let known = &world.verdicts.known;
+        assert_eq!(known.len(), 2, "the forged and the genuine wire are exactly framed");
+        assert!(known[0].1 && parse_verdict(&known[0].0), "the forged wire carries the parasite");
+        assert!(!known[1].1 && !parse_verdict(&known[1].0), "the genuine wire does not");
+    }
+
+    #[test]
+    fn prefix_verdict_equals_the_full_parse_at_every_cut_and_behind_every_tail() {
+        let (forged, genuine) = known_wires();
+        let verdicts = Verdicts::new([forged.clone(), genuine.clone()]);
+        for wire in [&forged, &genuine] {
+            for cut in 0..=wire.len() {
+                assert_eq!(verdicts.infected(&wire[..cut]), parse_verdict(&wire[..cut]), "cut {cut}");
+            }
+        }
+        // Each wire followed by any tail of the other: the bytes a losing
+        // racer's late segments can leave behind the winner.
+        for (first, second) in [(&forged, &genuine), (&genuine, &forged)] {
+            for from in 0..=second.len() {
+                let stream = [&first[..], &second[from..]].concat();
+                assert_eq!(verdicts.infected(&stream), parse_verdict(&stream), "tail from {from}");
+                assert_eq!(verdicts.infected(&stream), verdicts.infected(first));
+            }
+        }
+    }
+
+    #[test]
+    fn wires_without_exact_framing_are_never_registered() {
+        let (forged, _) = known_wires();
+        let body = "function genuine(){}";
+        let head = "HTTP/1.1 200 OK\r\ncontent-type: application/javascript\r\n";
+        let framed = |length: &str| Bytes::from(format!("{head}{length}\r\n{body}"));
+        let unframed = framed("");
+        let too_long = framed(&format!("content-length: {}\r\n", body.len() + forged.len()));
+        let too_short = framed("content-length: 5\r\n");
+        let not_a_number = framed("content-length: twenty\r\n");
+        let exact = framed(&format!("content-length: {}\r\n", body.len()));
+        for wire in [&unframed, &too_long, &too_short, &not_a_number, &Bytes::from_static(b"garbage")] {
+            assert!(Verdicts::new([wire.clone()]).known.is_empty(), "{wire:?}");
+        }
+        assert_eq!(Verdicts::new([exact]).known.len(), 1);
+        // Why: without exact framing the parse reads past the wire, so what
+        // follows it decides the verdict.
+        for wire in [&unframed, &too_long] {
+            let stream = [&wire[..], &forged[..]].concat();
+            assert!(!parse_verdict(wire) && parse_verdict(&stream));
+            assert!(Verdicts::new([wire.clone()]).infected(&stream));
+        }
+    }
+
+    #[test]
+    fn mixed_streams_at_the_race_cliff_classify_like_the_full_parse() {
+        // Without jitter the master wins iff its reaction beats
+        // 2·wan + 500 µs: 10.5 ms at a 5 ms WAN. Up to 2 ms of WiFi jitter
+        // lands on the genuine path's extra WiFi hop, spreading the cliff
+        // over 10.5–12.5 ms; a 12 ms reaction scatters victims to both sides.
+        let timing = RaceTiming {
+            attacker_reaction_us: 12_000,
+            server_one_way_us: 5_000,
+            jitter_us: 2_000,
+            ..RaceTiming::PAPER
+        };
+        let mut world = build_race_world(7, &timing, DEFAULT_EVENT_BUDGET, TraceMode::SummaryOnly, None);
+        let verdicts = world.race(256, |_| false).expect("within the event budget");
+        let mut longer_than_known = 0;
+        for (index, &verdict) in verdicts.iter().enumerate() {
+            // The server is host 0; victims follow in order.
+            let client = HostId(index as u64 + 1);
+            let conn = world.sim.connections(client)[0];
+            let delivered = world.sim.host(client).received(conn);
+            assert_eq!(verdict, parse_verdict(delivered), "victim {index}");
+            longer_than_known += usize::from(
+                world.verdicts.known.iter().any(|(wire, _)| delivered.len() > wire.len() && delivered.starts_with(wire)),
+            );
+        }
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "both outcomes occur");
+        assert!(longer_than_known > 0, "some stream trails a complete wire with more bytes");
+    }
+
+    proptest! {
+        #[test]
+        fn prefix_verdict_equals_the_full_parse_on_arbitrary_streams(
+            start in 0usize..3,
+            cut in any::<usize>(),
+            suffix in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let (forged, genuine) = known_wires();
+            let verdicts = Verdicts::new([forged.clone(), genuine.clone()]);
+            // A cut of the forged wire, of the genuine wire, or nothing,
+            // followed by arbitrary bytes.
+            let prefix: &[u8] = match start {
+                0 => &forged,
+                1 => &genuine,
+                _ => &[],
+            };
+            let stream = [&prefix[..cut % (prefix.len() + 1)], &suffix[..]].concat();
+            prop_assert_eq!(verdicts.infected(&stream), parse_verdict(&stream));
+            let whole = [prefix, &suffix[..]].concat();
+            prop_assert_eq!(verdicts.infected(&whole), parse_verdict(&whole));
+        }
+    }
 }

@@ -48,6 +48,11 @@ pub struct MasterTap {
     /// has prepared" (§V). Stored pre-serialised as [`Bytes`], so every
     /// injection slices the one buffer instead of re-encoding the response.
     prepared_objects: HashMap<(String, String), Bytes>,
+    /// The last request payload parsed and the prepared object it maps to
+    /// (`None`: passthrough). Victims of one world share one encoded
+    /// request, so most request packets repeat it; the mapping is a pure
+    /// function of the payload, so the memo never changes an outcome.
+    last: Option<(Bytes, Option<Bytes>)>,
     stats: SharedInjectionStats,
 }
 
@@ -61,6 +66,7 @@ impl MasterTap {
                 infector,
                 injector: Injector::new(reaction),
                 prepared_objects: HashMap::new(),
+                last: None,
                 stats: Arc::clone(&stats),
             },
             stats,
@@ -73,6 +79,13 @@ impl MasterTap {
         let infected = self.infector.infect_response(&genuine);
         self.prepared_objects
             .insert((url.host.clone(), url.path.clone()), Bytes::from(infected.to_wire()));
+        self.last = None;
+    }
+
+    /// The pre-serialised infected response the master injects for `url`, if
+    /// it prepared that object.
+    pub fn prepared_wire(&self, url: &Url) -> Option<&Bytes> {
+        self.prepared_objects.get(&(url.host.clone(), url.path.clone()))
     }
 
     fn parse_request(payload: &[u8]) -> Option<(String, String)> {
@@ -95,18 +108,30 @@ impl MasterTap {
 
 impl Tap for MasterTap {
     fn observe(&mut self, packet: &Packet, _now: Instant) -> Vec<Injection> {
-        let Some((host, path)) = Self::parse_request(&packet.segment.payload) else {
+        let payload = &packet.segment.payload;
+        if payload.is_empty() {
             return Vec::new();
-        };
-        let Some(infected) = self.prepared_objects.get(&(host, path)) else {
-            self.stats.lock().expect("injection stats lock poisoned").passthrough += 1;
-            return Vec::new();
+        }
+        let prepared = match &self.last {
+            Some((request, prepared)) if request == payload => prepared.clone(),
+            _ => {
+                let Some(key) = Self::parse_request(payload) else {
+                    return Vec::new();
+                };
+                let prepared = self.prepared_objects.get(&key).cloned();
+                self.last = Some((payload.clone(), prepared.clone()));
+                prepared
+            }
         };
         let mut stats = self.stats.lock().expect("injection stats lock poisoned");
+        let Some(infected) = prepared else {
+            stats.passthrough += 1;
+            return Vec::new();
+        };
         stats.target_requests_seen += 1;
         stats.responses_injected += 1;
         drop(stats);
-        self.injector.forge_response_bytes(packet, infected.clone())
+        self.injector.forge_response_bytes(packet, infected)
     }
 
     fn name(&self) -> &str {
@@ -355,5 +380,66 @@ mod tests {
         let packet = Packet::new(IpAddr::new(10, 0, 0, 2), IpAddr::new(203, 0, 113, 9), segment);
         assert!(tap.observe(&packet, Instant::ZERO).is_empty());
         assert_eq!(stats.lock().unwrap().passthrough, 1);
+    }
+
+    #[test]
+    fn master_tap_memo_is_invisible() {
+        use mp_netsim::addr::IpAddr;
+        use mp_netsim::packet::Segment;
+        use mp_netsim::seq::SeqNum;
+
+        let genuine = Response::ok(Body::text(ResourceKind::JavaScript, "function genuine(){}"))
+            .with_cache_control("max-age=600");
+        let new_tap = || {
+            let (mut tap, stats) = MasterTap::new(infector(), mp_netsim::time::Duration::from_micros(300));
+            tap.prepare_object(&url("http://somesite.com/my.js"), genuine.clone());
+            (tap, stats)
+        };
+        let request = |s: &str| Bytes::from(Request::get(url(s)).to_wire());
+        let mine = request("http://somesite.com/my.js");
+        let weather = request("http://somesite.com/weather.js");
+        let versioned = request("http://somesite.com/my.js?v=2");
+        // Same length as `mine`, so only the bytes tell them apart.
+        let lookalike = request("http://somesite.com/mx.js");
+        let response = Bytes::from(genuine.to_wire());
+        let garbage = Bytes::from_static(b"\xff\xfeGET nothing");
+        let payloads = [
+            &mine, &lookalike, &mine, &weather, &mine, &versioned, &Bytes::new(), &mine, &response,
+            &garbage, &weather, &weather, &Bytes::new(), &versioned, &lookalike, &mine, &garbage, &mine,
+        ];
+
+        let (mut memo, memo_stats) = new_tap();
+        let mut fresh_totals = InjectionStats::default();
+        for (i, payload) in payloads.into_iter().enumerate() {
+            // Every packet carries its own ports and sequence numbers, so a
+            // memo that reused more than the payload mapping would show.
+            let i16 = i as u16;
+            let segment = Segment::data(
+                51_000 + i16,
+                80,
+                SeqNum::new(100 + 7 * i as u32),
+                SeqNum::new(9_000 + 13 * i as u32),
+                payload.clone(),
+            );
+            let packet = Packet::new(IpAddr::new(10, 0, 0, 2 + i as u8), IpAddr::new(203, 0, 113, 9), segment);
+            let (mut fresh, fresh_stats) = new_tap();
+            let forged = |injections: Vec<Injection>| -> Vec<_> {
+                injections.into_iter().map(|i| (i.delay, i.packet)).collect()
+            };
+            assert_eq!(
+                forged(memo.observe(&packet, Instant::ZERO)),
+                forged(fresh.observe(&packet, Instant::ZERO)),
+                "packet {i}"
+            );
+            let fresh_stats = fresh_stats.lock().unwrap();
+            fresh_totals.target_requests_seen += fresh_stats.target_requests_seen;
+            fresh_totals.responses_injected += fresh_stats.responses_injected;
+            fresh_totals.passthrough += fresh_stats.passthrough;
+        }
+        let memo_stats = memo_stats.lock().unwrap();
+        assert_eq!(memo_stats.target_requests_seen, fresh_totals.target_requests_seen);
+        assert_eq!(memo_stats.responses_injected, fresh_totals.responses_injected);
+        assert_eq!(memo_stats.passthrough, fresh_totals.passthrough);
+        assert_eq!((fresh_totals.responses_injected, fresh_totals.passthrough), (8, 5));
     }
 }

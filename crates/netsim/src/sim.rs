@@ -484,7 +484,9 @@ impl Simulator {
         Ok(())
     }
 
-    /// Application bytes received so far on a connection.
+    /// Application bytes received so far on a connection, copied into a new
+    /// buffer. Hot callers that only read them should borrow the slice
+    /// through `host(h).received(conn)` instead.
     pub fn received(&self, host: HostId, conn: ConnId) -> Bytes {
         Bytes::copy_from_slice(self.host(host).received(conn))
     }
