@@ -48,15 +48,20 @@ pub struct MasterTap {
     /// has prepared" (§V). Stored pre-serialised as [`Bytes`], so every
     /// injection slices the one buffer instead of re-encoding the response.
     prepared_objects: HashMap<(String, String), Bytes>,
-    /// The last request payload parsed and the prepared object it maps to
-    /// (`None`: passthrough). Victims of one world share one encoded
-    /// request, so most request packets repeat it; the mapping is a pure
-    /// function of the payload, so the memo never changes an outcome.
-    last: Option<(Bytes, Option<Bytes>)>,
+    /// Request payloads already parsed, each with the prepared object it
+    /// maps to (`None`: passthrough), up to [`MasterTap::MEMO_ENTRIES`].
+    /// Victims of one world share a few encoded requests, so nearly every
+    /// request packet repeats one; the mapping is a pure function of the
+    /// payload, so the memo never changes an outcome.
+    memo: Vec<(Bytes, Option<Bytes>)>,
     stats: SharedInjectionStats,
 }
 
 impl MasterTap {
+    /// Distinct request payloads [`MasterTap`] remembers; later ones are
+    /// parsed every time. A race world sends two.
+    const MEMO_ENTRIES: usize = 8;
+
     /// Creates a packet-level master and returns it with a handle to its
     /// statistics.
     pub fn new(infector: Infector, reaction: mp_netsim::time::Duration) -> (Self, SharedInjectionStats) {
@@ -66,7 +71,7 @@ impl MasterTap {
                 infector,
                 injector: Injector::new(reaction),
                 prepared_objects: HashMap::new(),
-                last: None,
+                memo: Vec::new(),
                 stats: Arc::clone(&stats),
             },
             stats,
@@ -79,7 +84,7 @@ impl MasterTap {
         let infected = self.infector.infect_response(&genuine);
         self.prepared_objects
             .insert((url.host.clone(), url.path.clone()), Bytes::from(infected.to_wire()));
-        self.last = None;
+        self.memo.clear();
     }
 
     /// The pre-serialised infected response the master injects for `url`, if
@@ -107,31 +112,33 @@ impl MasterTap {
 }
 
 impl Tap for MasterTap {
-    fn observe(&mut self, packet: &Packet, _now: Instant) -> Vec<Injection> {
+    fn observe_into(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
         let payload = &packet.segment.payload;
         if payload.is_empty() {
-            return Vec::new();
+            return;
         }
-        let prepared = match &self.last {
-            Some((request, prepared)) if request == payload => prepared.clone(),
-            _ => {
+        let prepared = match self.memo.iter().find(|(request, _)| request == payload) {
+            Some((_, prepared)) => prepared.clone(),
+            None => {
                 let Some(key) = Self::parse_request(payload) else {
-                    return Vec::new();
+                    return;
                 };
                 let prepared = self.prepared_objects.get(&key).cloned();
-                self.last = Some((payload.clone(), prepared.clone()));
+                if self.memo.len() < Self::MEMO_ENTRIES {
+                    self.memo.push((payload.clone(), prepared.clone()));
+                }
                 prepared
             }
         };
         let mut stats = self.stats.lock().expect("injection stats lock poisoned");
         let Some(infected) = prepared else {
             stats.passthrough += 1;
-            return Vec::new();
+            return;
         };
         stats.target_requests_seen += 1;
         stats.responses_injected += 1;
         drop(stats);
-        self.injector.forge_response_bytes(packet, infected)
+        self.injector.forge_response_bytes_into(packet, infected, out);
     }
 
     fn name(&self) -> &str {

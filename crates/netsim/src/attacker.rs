@@ -33,9 +33,17 @@ pub struct Injection {
 /// the observed packet — matching the paper's "can eavesdrop but cannot block
 /// or modify" attacker.
 pub trait Tap: Send {
-    /// Called for every observed packet; any returned injections are
-    /// scheduled for delivery.
-    fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection>;
+    /// Called for every observed packet; the injections it appends to `out`
+    /// are scheduled for delivery. The simulator passes one scratch buffer
+    /// for every observation, so a tap that injects allocates nothing.
+    fn observe_into(&mut self, packet: &Packet, now: Instant, out: &mut Vec<Injection>);
+
+    /// [`Tap::observe_into`] returning the injections as a new vector.
+    fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection> {
+        let mut out = Vec::new();
+        self.observe_into(packet, now, &mut out);
+        out
+    }
 
     /// Human-readable name used in traces.
     fn name(&self) -> &str {
@@ -81,12 +89,11 @@ impl Eavesdropper {
 }
 
 impl Tap for Eavesdropper {
-    fn observe(&mut self, packet: &Packet, now: Instant) -> Vec<Injection> {
+    fn observe_into(&mut self, packet: &Packet, now: Instant, _out: &mut Vec<Injection>) {
         self.log.lock().expect("observation log lock poisoned").push(Observation {
             at: now,
             packet: packet.clone(),
         });
-        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -142,8 +149,16 @@ impl Injector {
     /// the shared payload buffer, so a master replaying a prepared object pays
     /// no per-injection allocation.
     pub fn forge_response_bytes(&self, observed: &Packet, payload: Bytes) -> Vec<Injection> {
+        let mut injections = Vec::new();
+        self.forge_response_bytes_into(observed, payload, &mut injections);
+        injections
+    }
+
+    /// [`Injector::forge_response_bytes`] appending the spoofed segments to a
+    /// caller-owned buffer (a tap's [`Tap::observe_into`] output).
+    pub fn forge_response_bytes_into(&self, observed: &Packet, payload: Bytes, out: &mut Vec<Injection>) {
         if observed.segment.payload.is_empty() {
-            return Vec::new();
+            return;
         }
         let tuple: FourTuple = observed.four_tuple();
         // The spoofed response impersonates the server: source = the server
@@ -159,7 +174,6 @@ impl Injector {
         // Acknowledge everything the client has sent including this request.
         let ack: SeqNum = observed.segment.seq_end();
 
-        let mut injections = Vec::new();
         let mut offset = 0usize;
         while offset < payload.len() {
             let end = (offset + self.mss).min(payload.len());
@@ -168,13 +182,12 @@ impl Injector {
             let mut segment = Segment::data(src_port, dst_port, seq, ack, chunk);
             segment.window = observed.segment.window;
             seq = seq + len;
-            injections.push(Injection {
+            out.push(Injection {
                 delay: self.reaction_time,
                 packet: Packet::new(src_ip, dst_ip, segment).spoofed(),
             });
             offset = end;
         }
-        injections
     }
 
     /// Builds a spoofed RST that would tear down the observed connection.
@@ -253,16 +266,17 @@ impl ResponseInjector {
 }
 
 impl Tap for ResponseInjector {
-    fn observe(&mut self, packet: &Packet, _now: Instant) -> Vec<Injection> {
+    fn observe_into(&mut self, packet: &Packet, _now: Instant, out: &mut Vec<Injection>) {
         if packet.segment.payload.is_empty() || !(self.matcher)(&packet.segment.payload) {
-            return Vec::new();
+            return;
         }
         let response = (self.response_builder)(&packet.segment.payload);
-        let injections = self.injector.forge_response(packet, &response);
-        if !injections.is_empty() {
+        let before = out.len();
+        self.injector
+            .forge_response_bytes_into(packet, Bytes::from(response), out);
+        if out.len() > before {
             self.injected_count += 1;
         }
-        injections
     }
 
     fn name(&self) -> &str {

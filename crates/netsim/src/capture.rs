@@ -18,6 +18,7 @@ use crate::fasthash::FxHashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Index into a [`Trace`]'s interned name table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,11 +147,12 @@ fn truncate(s: &str, max: usize) -> String {
 #[derive(Debug, Clone)]
 pub struct Trace {
     mode: TraceMode,
-    names: Vec<String>,
+    /// Shared, so hosts can hold their interned name without a copy.
+    names: Vec<Arc<str>>,
     // Interning table: keyed lookups only (the ordered view is `names`).
     // FxHashMap has no per-process RandomState, so even its internal layout
     // is reproducible across runs.
-    name_index: FxHashMap<String, NameId>,
+    name_index: FxHashMap<Arc<str>, NameId>,
     events: VecDeque<TraceEvent>,
     summary: TraceSummary,
     /// Events the *recorder* discarded (ring overflow, summary-only mode or a
@@ -248,9 +250,20 @@ impl Trace {
             return id;
         }
         let id = NameId(u32::try_from(self.names.len()).expect("name table fits in u32"));
-        self.names.push(name.to_string());
-        self.name_index.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.name_index.insert(name, id);
         id
+    }
+
+    /// The interned name behind `id` as a shared string (see
+    /// [`Trace::name`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was not interned by this trace.
+    pub(crate) fn shared_name(&self, id: NameId) -> Arc<str> {
+        Arc::clone(&self.names[id.0 as usize])
     }
 
     /// Resolves an interned id back to its name.

@@ -14,6 +14,7 @@ use crate::seq::SeqNum;
 use crate::tcp::{AcceptOutcome, TcpConnection, TcpState};
 use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a host within a simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,6 +65,15 @@ pub struct DeliveryResult {
     pub data_ready: Vec<ConnId>,
     /// What the TCP layer did with the payload (for measurement).
     pub outcome: Option<AcceptOutcome>,
+    /// The connection this packet established, if it holds data sent
+    /// before the handshake ([`crate::sim::Simulator::send_bytes`] queues
+    /// it). The simulator sends that data after the host's services have run.
+    pub established_with_queued: Option<ConnId>,
+    /// Queued chunks discarded because this packet reset their connection
+    /// before it was established.
+    pub pending_chunks_dropped: u64,
+    /// Bytes across those discarded chunks.
+    pub pending_bytes_dropped: u64,
 }
 
 impl DeliveryResult {
@@ -74,6 +84,9 @@ impl DeliveryResult {
         self.responses.clear();
         self.data_ready.clear();
         self.outcome = None;
+        self.established_with_queued = None;
+        self.pending_chunks_dropped = 0;
+        self.pending_bytes_dropped = 0;
     }
 }
 
@@ -86,7 +99,7 @@ impl DeliveryResult {
 /// crate's fast internal hasher.
 pub struct Host {
     id: HostId,
-    name: String,
+    name: Arc<str>,
     ip: IpAddr,
     medium: MediumId,
     /// Connection slab: `ConnId(n)` lives at index `n - 1`.
@@ -112,8 +125,9 @@ impl fmt::Debug for Host {
 }
 
 impl Host {
-    /// Creates a host attached to `medium`.
-    pub fn new(id: HostId, name: impl Into<String>, ip: IpAddr, medium: MediumId) -> Self {
+    /// Creates a host attached to `medium`. The name may be shared (the
+    /// simulator hands every host the trace's interned copy).
+    pub fn new(id: HostId, name: impl Into<Arc<str>>, ip: IpAddr, medium: MediumId) -> Self {
         Host {
             id,
             name: name.into(),
@@ -263,6 +277,29 @@ impl Host {
         connection.send_bytes_into(data, out)
     }
 
+    /// Queues `data` on a connection that has not finished its handshake;
+    /// [`Host::deliver_into`] reports the connection once it establishes
+    /// (the data is then taken with [`Host::take_queued_sends`]) or counts
+    /// the data as dropped if it resets first. Unknown ids are ignored.
+    pub(crate) fn queue_send(&mut self, conn: ConnId, data: Bytes) {
+        if let Some(connection) = self.conn_mut(conn) {
+            connection.queue_send(data);
+        }
+    }
+
+    /// Takes the data queued on a connection before its handshake, in the
+    /// order it was queued.
+    pub(crate) fn take_queued_sends(&mut self, conn: ConnId) -> Vec<Bytes> {
+        self.conn_mut(conn)
+            .map(TcpConnection::take_queued)
+            .unwrap_or_default()
+    }
+
+    /// Number of connections holding data queued before their handshake.
+    pub(crate) fn connections_with_queued_sends(&self) -> usize {
+        self.connections.iter().filter(|c| c.has_queued()).count()
+    }
+
     /// Closes a connection, returning the FIN segment.
     ///
     /// # Errors
@@ -376,11 +413,22 @@ impl Host {
             .conn_mut(conn_id)
             .expect("demuxed connection must exist");
         // Only hosts with a service consume data incrementally; recording
-        // chunks for anyone else would pin the arriving payload buffers.
+        // chunks for anyone else would pin every arriving payload buffer.
         connection.set_chunk_delivery(track_chunks);
         let before = connection.received().len();
+        let was_established = connection.is_established();
         let outcome = connection.on_segment_into(remote, &packet.segment, &mut result.responses);
         let after = connection.received().len();
+        if !was_established && connection.has_queued() {
+            if connection.is_established() {
+                result.established_with_queued = Some(conn_id);
+            } else if matches!(connection.state(), TcpState::Closed | TcpState::Reset) {
+                // Died before establishing: its queued data can never leave.
+                let chunks = connection.take_queued();
+                result.pending_chunks_dropped = chunks.len() as u64;
+                result.pending_bytes_dropped = chunks.iter().map(|c| c.len() as u64).sum();
+            }
+        }
 
         result.outcome = Some(outcome);
         if after > before {

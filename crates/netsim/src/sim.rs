@@ -119,9 +119,6 @@ struct HostSlot {
     name: NameId,
     /// The medium the host is attached to (cached from the host).
     medium: MediumId,
-    /// Pre-handshake send buffers by connection. `step()` checks plain
-    /// emptiness before running the flush / eviction passes.
-    pending: FxHashMap<ConnId, Vec<Bytes>>,
 }
 
 /// Discrete-event network simulator.
@@ -162,7 +159,9 @@ pub struct Simulator {
     chunk_scratch: Vec<Bytes>,
     response_scratch: Vec<Bytes>,
     segment_scratch: Vec<Segment>,
-    conn_scratch: Vec<ConnId>,
+    /// What one tap asked for while observing one packet.
+    tap_scratch: Vec<Injection>,
+    /// Every tap's injections for one packet, with the tap's medium.
     injection_scratch: Vec<(MediumId, Injection)>,
 }
 
@@ -206,7 +205,7 @@ impl Simulator {
             chunk_scratch: Vec::new(),
             response_scratch: Vec::new(),
             segment_scratch: Vec::new(),
-            conn_scratch: Vec::new(),
+            tap_scratch: Vec::new(),
             injection_scratch: Vec::new(),
         }
     }
@@ -319,11 +318,13 @@ impl Simulator {
         );
         let id = HostId(self.hosts.len() as u64);
         let name_id = self.trace.intern(name);
+        // The host shares the trace's copy of its name: a thousand clients
+        // called "client" hold one string.
+        let shared_name = self.trace.shared_name(name_id);
         self.hosts.push(HostSlot {
-            host: Host::new(id, name, ip, medium),
+            host: Host::new(id, shared_name, ip, medium),
             name: name_id,
             medium,
-            pending: FxHashMap::default(),
         });
         self.ip_index.insert(ip, id);
         id
@@ -436,8 +437,8 @@ impl Simulator {
             .connection_state(conn)
             .ok_or(NetError::UnknownConnection(conn.0))?;
         // A dead connection can never flush a buffer: reject instead of
-        // buffering into the pending map, where (with no further events for
-        // the host) nothing would ever evict it.
+        // queueing data that (with no further events for the connection)
+        // nothing would ever evict.
         if matches!(state, TcpState::Closed | TcpState::Reset) {
             return Err(NetError::InvalidState {
                 reason: format!("cannot send in state {state:?}"),
@@ -458,7 +459,7 @@ impl Simulator {
             }
             self.segment_scratch = segments;
         } else {
-            slot.pending.entry(conn).or_default().push(data);
+            slot.host.queue_send(conn, data);
         }
         Ok(())
     }
@@ -513,11 +514,14 @@ impl Simulator {
         self.events_processed
     }
 
-    /// Number of pre-handshake send buffers currently held. Buffers are
-    /// flushed on establishment and evicted (with a note in the trace
-    /// summary) when their connection closes or resets first.
+    /// Number of connections holding pre-handshake send buffers. Buffers
+    /// are flushed on establishment and evicted (with a note in the trace
+    /// summary) when their connection resets first.
     pub fn pending_send_buffers(&self) -> usize {
-        self.hosts.iter().map(|slot| slot.pending.len()).sum()
+        self.hosts
+            .iter()
+            .map(|slot| slot.host.connections_with_queued_sends())
+            .sum()
     }
 
     fn path_latency(&self, from_medium: MediumId, to_medium: MediumId) -> Duration {
@@ -628,6 +632,7 @@ impl Simulator {
         // reusable scratch buffer.
         if !injected && !self.taps.is_empty() {
             let mut pending_injections = std::mem::take(&mut self.injection_scratch);
+            let mut requested = std::mem::take(&mut self.tap_scratch);
             for entry in &mut self.taps {
                 if !entry.observable {
                     continue;
@@ -637,10 +642,11 @@ impl Simulator {
                 if !on_path {
                     continue;
                 }
-                for injection in entry.tap.observe(&packet, now) {
-                    pending_injections.push((entry.medium, injection));
-                }
+                entry.tap.observe_into(&packet, now, &mut requested);
+                pending_injections
+                    .extend(requested.drain(..).map(|injection| (entry.medium, injection)));
             }
+            self.tap_scratch = requested;
             // The observed packet queues first, then its injections, so
             // sequence numbers match the pre-calendar-queue simulator exactly.
             self.enqueue(dst_host, deliver_at, packet);
@@ -731,15 +737,20 @@ impl Simulator {
         for conn in delivery.data_ready.drain(..) {
             self.run_service(to, conn);
         }
+        let established = delivery.established_with_queued.take();
+        if delivery.pending_chunks_dropped > 0 {
+            self.trace
+                .note_dropped_pending(delivery.pending_chunks_dropped, delivery.pending_bytes_dropped);
+        }
         self.delivery_scratch = delivery;
 
-        // Flush sends that were waiting for the handshake to finish, then
-        // evict buffers whose connection died before establishing. The slab's
-        // pending map makes the no-pending case — every event, in steady
-        // state — a single emptiness check.
-        if !self.hosts[index].pending.is_empty() {
-            self.flush_pending(to);
-            self.evict_dead_pending(to);
+        // Sends that were waiting for the handshake go out now, each chunk
+        // segmented on its own, as if sent the moment the connection opened.
+        if let Some(conn) = established {
+            for chunk in self.hosts[index].host.take_queued_sends(conn) {
+                // Established now, so this sends immediately.
+                let _ = self.send_bytes(to, conn, chunk);
+            }
         }
         Ok(true)
     }
@@ -798,54 +809,6 @@ impl Simulator {
         self.segment_scratch = segments;
         responses.clear();
         self.response_scratch = responses;
-    }
-
-    fn flush_pending(&mut self, host_id: HostId) {
-        let index = host_id.0 as usize;
-        let mut ready = std::mem::take(&mut self.conn_scratch);
-        ready.clear();
-        let slot = &self.hosts[index];
-        ready.extend(slot.pending.keys().filter(|c| slot.host.is_established(**c)));
-        // Deterministic flush order regardless of hash-map iteration order.
-        ready.sort_unstable();
-        for &conn in &ready {
-            let Some(chunks) = self.hosts[index].pending.remove(&conn) else {
-                continue;
-            };
-            for chunk in chunks {
-                // Established now, so this sends immediately.
-                let _ = self.send_bytes(host_id, conn, chunk);
-            }
-        }
-        ready.clear();
-        self.conn_scratch = ready;
-    }
-
-    /// Evicts pre-handshake send buffers whose connection on `host_id` was
-    /// reset or closed without ever establishing, so a failed connection can
-    /// never leak its buffered data for the simulator's lifetime. The dropped
-    /// volume is surfaced in the trace summary.
-    fn evict_dead_pending(&mut self, host_id: HostId) {
-        let index = host_id.0 as usize;
-        let mut dead = std::mem::take(&mut self.conn_scratch);
-        dead.clear();
-        let slot = &self.hosts[index];
-        dead.extend(slot.pending.keys().filter(|c| {
-            matches!(
-                slot.host.connection_state(**c),
-                None | Some(TcpState::Closed) | Some(TcpState::Reset)
-            )
-        }));
-        dead.sort_unstable();
-        for &conn in &dead {
-            if let Some(chunks) = self.hosts[index].pending.remove(&conn) {
-                let bytes: usize = chunks.iter().map(Bytes::len).sum();
-                self.trace
-                    .note_dropped_pending(chunks.len() as u64, bytes as u64);
-            }
-        }
-        dead.clear();
-        self.conn_scratch = dead;
     }
 
     /// Runs the simulation until no events remain.
@@ -1034,13 +997,31 @@ mod tests {
         let conn = sim.connect(client, server, 80).unwrap();
         // Queued before the handshake completes.
         sim.send(client, conn, b"early data").unwrap();
+        sim.send(client, conn, b"+more").unwrap();
+        // One connection holds both chunks.
         assert_eq!(sim.pending_send_buffers(), 1);
         sim.run_until_idle().unwrap();
         assert_eq!(sim.pending_send_buffers(), 0);
         let sconn = sim.connections(server)[0];
-        assert_eq!(sim.received(server, sconn), b"early data");
+        assert_eq!(sim.received(server, sconn), b"early data+more");
         // Flushed, not dropped.
         assert_eq!(sim.trace().summary().pending_chunks_dropped, 0);
+
+        // The victim's side of the flow: SYN, the handshake ACK, then each
+        // chunk as its own segment, in order, sent the moment the ACK is.
+        let trace = sim.trace();
+        let sent: Vec<_> = trace
+            .events()
+            .filter(|e| trace.name(e.from) == "victim")
+            .map(|e| (e.sent_at, e.packet.segment.flags, e.packet.segment.payload.clone()))
+            .collect();
+        assert_eq!(sent.len(), 4, "{sent:?}");
+        assert!(sent[0].1.syn && sent[0].2.is_empty());
+        assert!(sent[1].1.ack && !sent[1].1.syn && sent[1].2.is_empty());
+        assert_eq!(sent[2].2, b"early data");
+        assert_eq!(sent[3].2, b"+more");
+        assert_eq!(sent[2].0, sent[1].0);
+        assert_eq!(sent[3].0, sent[1].0);
     }
 
     #[test]
@@ -1070,13 +1051,17 @@ mod tests {
         // buffered early data can never be flushed and must be evicted.
         let conn = sim.connect(client, server, 8080).unwrap();
         sim.send(client, conn, b"doomed payload").unwrap();
+        sim.send(client, conn, b"and its sequel").unwrap();
         assert_eq!(sim.pending_send_buffers(), 1);
         sim.run_until_idle().unwrap();
         assert!(!sim.host(client).is_established(conn));
         assert_eq!(sim.pending_send_buffers(), 0, "pending buffer leaked past the RST");
         let summary = sim.trace().summary();
-        assert_eq!(summary.pending_chunks_dropped, 1);
-        assert_eq!(summary.pending_bytes_dropped, b"doomed payload".len() as u64);
+        assert_eq!(summary.pending_chunks_dropped, 2);
+        assert_eq!(
+            summary.pending_bytes_dropped,
+            (b"doomed payload".len() + b"and its sequel".len()) as u64
+        );
     }
 
     #[test]

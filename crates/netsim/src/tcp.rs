@@ -69,9 +69,19 @@ pub enum AcceptOutcome {
 /// Bytes are addressed by their offset from the initial receive sequence
 /// number. For every offset the *first* byte value accepted is kept; later
 /// arrivals for the same offset are discarded.
+///
+/// A stream that is exactly one in-order segment (every request and
+/// response of the race world) is held as that segment's shared buffer, not
+/// copied; the next segment that adds bytes, or any [`Reassembler::offer`]
+/// that does, copies it into the contiguous buffer and reassembly continues
+/// from there.
 #[derive(Debug, Clone, Default)]
 pub struct Reassembler {
-    /// Contiguous, application-visible stream.
+    /// The whole stream while it is one in-order segment offered with
+    /// [`Reassembler::offer_bytes`]; empty otherwise. While non-empty,
+    /// `assembled` and `pending` are empty.
+    single: Bytes,
+    /// Contiguous, application-visible stream (unless `single` holds it).
     assembled: Vec<u8>,
     /// Out-of-order byte ranges, keyed by stream offset.
     pending: BTreeMap<u64, Vec<u8>>,
@@ -91,14 +101,30 @@ impl Reassembler {
 
     /// Number of contiguous bytes delivered so far.
     pub fn assembled_len(&self) -> u64 {
-        self.assembled.len() as u64
+        self.assembled().len() as u64
+    }
+
+    /// Copies a single held segment into `assembled`, so the general path
+    /// can extend it.
+    fn unshare(&mut self) {
+        if !self.single.is_empty() {
+            self.assembled.extend_from_slice(&self.single);
+            self.single = Bytes::new();
+        }
     }
 
     /// [`Reassembler::offer`] for a shared buffer, optionally recording the
     /// newly contiguous bytes as zero-copy chunks for
     /// [`TcpConnection::take_new_bytes`]. In the common in-order case the
-    /// recorded chunk is a slice of `data` itself — no byte is copied twice.
+    /// recorded chunk is a slice of `data` itself — no byte is copied twice —
+    /// and a stream's first segment is not copied at all: it is held as the
+    /// whole stream until another segment arrives.
     pub fn offer_bytes(&mut self, offset: u64, data: &Bytes, track_chunks: bool) -> usize {
+        if offset == 0 && self.assembled_len() == 0 && self.pending.is_empty() {
+            // `take_new_bytes` slices `single` itself, so no chunk is recorded.
+            self.single = data.clone();
+            return data.len();
+        }
         let before = self.assembled_len();
         let had_pending = !self.pending.is_empty();
         let fresh = self.offer(offset, data);
@@ -152,16 +178,19 @@ impl Reassembler {
         // In-order fast path (the overwhelmingly common case): no buffered
         // out-of-order ranges and the segment touches the contiguous prefix,
         // so the new tail extends `assembled` directly — no range buffer is
-        // allocated and every byte is copied exactly once.
+        // allocated and every byte is copied exactly once. A duplicate leaves
+        // a held single segment shared.
         if self.pending.is_empty() && offset <= assembled_len {
             if end <= assembled_len {
                 return 0;
             }
+            self.unshare();
             let tail = &data[(assembled_len - offset) as usize..];
             self.assembled.extend_from_slice(tail);
             return tail.len();
         }
 
+        self.unshare();
         let mut fresh = 0usize;
         // Portion that extends the contiguous prefix or fills later gaps.
         let mut cursor = offset.max(assembled_len);
@@ -208,7 +237,16 @@ impl Reassembler {
 
     /// Returns the contiguous application-visible byte stream.
     pub fn assembled(&self) -> &[u8] {
-        &self.assembled
+        if self.single.is_empty() {
+            &self.assembled
+        } else {
+            &self.single
+        }
+    }
+
+    /// The stream as one shared buffer, while it is a single held segment.
+    fn single(&self) -> Option<&Bytes> {
+        (!self.single.is_empty()).then_some(&self.single)
     }
 
     /// Returns `true` if there are buffered out-of-order ranges waiting for a gap to fill.
@@ -242,9 +280,12 @@ pub struct TcpConnection {
     delivered: usize,
     /// Whether freshly contiguous bytes are recorded as zero-copy chunks for
     /// [`TcpConnection::take_new_bytes`]. Off by default so endpoints nobody
-    /// reads incrementally (e.g. clients without a service) retain no shared
-    /// payload handles.
+    /// reads incrementally (e.g. clients without a service) keep no chunk
+    /// list (a single-segment stream is held shared either way).
     deliver_chunks: bool,
+    /// Data the application sent before the handshake completed, in order;
+    /// sent once established, discarded if the connection resets first.
+    queued: Vec<Bytes>,
 }
 
 impl TcpConnection {
@@ -264,6 +305,7 @@ impl TcpConnection {
             reassembler: Reassembler::new(),
             delivered: 0,
             deliver_chunks: false,
+            queued: Vec::new(),
         }
     }
 
@@ -285,6 +327,7 @@ impl TcpConnection {
             reassembler: Reassembler::new(),
             delivered: 0,
             deliver_chunks: false,
+            queued: Vec::new(),
         };
         (conn, syn)
     }
@@ -330,7 +373,7 @@ impl TcpConnection {
     /// Enables or disables zero-copy chunk recording for
     /// [`TcpConnection::take_new_bytes`]. [`Host::deliver`] switches it on for
     /// hosts with an attached service; leaving it off keeps endpoints nobody
-    /// reads incrementally from holding shared payload buffers alive.
+    /// reads incrementally from holding a chunk per segment alive.
     ///
     /// [`Host::deliver`]: crate::endpoint::Host::deliver
     pub fn set_chunk_delivery(&mut self, enabled: bool) {
@@ -402,6 +445,23 @@ impl TcpConnection {
             offset = end;
         }
         Ok(())
+    }
+
+    /// Queues data sent before the handshake completed (see
+    /// [`TcpConnection::take_queued`]).
+    pub(crate) fn queue_send(&mut self, data: Bytes) {
+        self.queued.push(data);
+    }
+
+    /// Whether data sent before the handshake is waiting.
+    pub(crate) fn has_queued(&self) -> bool {
+        !self.queued.is_empty()
+    }
+
+    /// Takes the data queued before the handshake, in the order it was
+    /// queued: to send once established, or to discard after a reset.
+    pub(crate) fn take_queued(&mut self) -> Vec<Bytes> {
+        std::mem::take(&mut self.queued)
     }
 
     /// Initiates connection teardown, returning the FIN segment.
@@ -595,14 +655,18 @@ impl TcpConnection {
     /// chunks. With chunk delivery enabled
     /// ([`TcpConnection::set_chunk_delivery`]) the chunks are zero-copy slices
     /// of the arriving segments; otherwise (or after mixing in plain
-    /// [`TcpConnection::read_new`] calls) one copied chunk is produced.
+    /// [`TcpConnection::read_new`] calls) one copied chunk is produced. A
+    /// stream that is still a single segment is handed over as a slice of
+    /// it, whether chunk delivery is on or not.
     pub fn take_new_bytes(&mut self, out: &mut Vec<Bytes>) {
         let len = self.reassembler.assembled().len();
         if self.delivered >= len {
             self.reassembler.clear_fresh();
             return;
         }
-        if self.reassembler.fresh_len() == (len - self.delivered) as u64 {
+        if let Some(single) = self.reassembler.single() {
+            out.push(single.slice(self.delivered..));
+        } else if self.reassembler.fresh_len() == (len - self.delivered) as u64 {
             self.reassembler.take_fresh(out);
         } else {
             self.reassembler.clear_fresh();
@@ -623,6 +687,7 @@ impl TcpConnection {
 mod tests {
     use super::*;
     use crate::addr::IpAddr;
+    use proptest::prelude::*;
 
     fn addrs() -> (SocketAddr, SocketAddr) {
         (
@@ -837,6 +902,95 @@ mod tests {
         // Overlapping write: only the two new trailing bytes are fresh.
         assert_eq!(r.offer(2, b"BBBB"), 2);
         assert_eq!(r.assembled(), b"AAAABB");
+    }
+
+    #[test]
+    fn a_single_segment_stream_is_shared_until_the_next_segment() {
+        let mut r = Reassembler::new();
+        let first = Bytes::copy_from_slice(b"HTTP/1.1 200 OK\r\n\r\nabc");
+        assert_eq!(r.offer_bytes(0, &first, false), first.len());
+        // Held, not copied.
+        assert_eq!(r.assembled().as_ptr(), first.as_ptr());
+        // A duplicate keeps it shared.
+        assert_eq!(r.offer_bytes(0, &Bytes::copy_from_slice(b"HTTP/1.1 404"), false), 0);
+        assert_eq!(r.assembled().as_ptr(), first.as_ptr());
+        // The next segment copies it and extends the copy.
+        assert_eq!(r.offer_bytes(first.len() as u64, &Bytes::copy_from_slice(b"def"), false), 3);
+        assert_ne!(r.assembled().as_ptr(), first.as_ptr());
+        assert_eq!(r.assembled(), b"HTTP/1.1 200 OK\r\n\r\nabcdef");
+    }
+
+    #[test]
+    fn take_new_bytes_slices_a_single_segment_stream() {
+        let (mut client, mut server) = handshake();
+        let (client_addr, _) = addrs();
+        let segments = client.send(b"GET /my.js HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(segments.len(), 1);
+        server.on_segment(client_addr, &segments[0]);
+        let mut chunks = Vec::new();
+        server.take_new_bytes(&mut chunks);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].as_ptr(), segments[0].payload.as_ptr());
+        assert_eq!(server.received().as_ptr(), segments[0].payload.as_ptr());
+    }
+
+    proptest! {
+        /// The single held segment, the in-order fast path, out-of-order
+        /// ranges and zero-copy chunks all agree with a first-byte-wins model
+        /// of the stream, whatever mix of offers and reads drives them.
+        #[test]
+        fn reassembly_matches_a_first_byte_wins_model(
+            ops in proptest::collection::vec(any::<u64>(), 1..24),
+            track_chunks in any::<bool>(),
+        ) {
+            let (_, mut conn) = handshake();
+            conn.set_chunk_delivery(track_chunks);
+            let mut model: Vec<Option<u8>> = vec![None; 64];
+            let mut delivered: Vec<u8> = Vec::new();
+            for (step, op) in ops.into_iter().enumerate() {
+                let contiguous_len = model.iter().take_while(|b| b.is_some()).count();
+                // Half the offers continue the stream in order; the rest land
+                // anywhere, overlapping or leaving gaps.
+                let offset = if (op >> 20) % 2 == 0 {
+                    contiguous_len.min(48)
+                } else {
+                    (op % 48) as usize
+                };
+                let len = ((op >> 8) % 16) as usize + 1;
+                // Every step writes distinct bytes, so which write won shows.
+                let data: Vec<u8> = (0..len).map(|i| (step * 16 + i) as u8).collect();
+                let newly_filled = model[offset..offset + len].iter().filter(|b| b.is_none()).count();
+                match (op >> 16) % 4 {
+                    kind @ (0 | 1) => {
+                        let fresh = if kind == 0 {
+                            let shared = Bytes::from(data.clone());
+                            conn.reassembler.offer_bytes(offset as u64, &shared, conn.deliver_chunks)
+                        } else {
+                            conn.reassembler.offer(offset as u64, &data)
+                        };
+                        prop_assert_eq!(fresh, newly_filled);
+                        for (slot, &byte) in model[offset..offset + len].iter_mut().zip(&data) {
+                            slot.get_or_insert(byte);
+                        }
+                    }
+                    2 => {
+                        let mut chunks = Vec::new();
+                        conn.take_new_bytes(&mut chunks);
+                        delivered.extend(chunks.iter().flat_map(|c| c.iter().copied()));
+                    }
+                    _ => delivered.extend(conn.read_new()),
+                }
+                let contiguous: Vec<u8> = model.iter().map_while(|b| *b).collect();
+                prop_assert_eq!(conn.received(), &contiguous[..]);
+                prop_assert_eq!(conn.reassembler.has_gaps(), model[contiguous.len()..].iter().any(Option::is_some));
+                prop_assert!(contiguous.starts_with(&delivered));
+            }
+            let mut chunks = Vec::new();
+            conn.take_new_bytes(&mut chunks);
+            delivered.extend(chunks.iter().flat_map(|c| c.iter().copied()));
+            let contiguous: Vec<u8> = model.iter().map_while(|b| *b).collect();
+            prop_assert_eq!(delivered, contiguous);
+        }
     }
 
     #[test]

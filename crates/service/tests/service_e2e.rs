@@ -66,6 +66,15 @@ fn drain_stream(client: &mut Client, run: u64) -> (Vec<DayStats>, RunOutcome) {
     }
 }
 
+/// Reads the next message of a watch stream, which must be one of `run`'s
+/// days.
+fn next_day(client: &mut Client, run: u64) -> DayStats {
+    match client.read_response().expect("stream response") {
+        Response::Day { run: id, stats } if id == run => stats,
+        other => panic!("expected a day of run {run}, got {other:?}"),
+    }
+}
+
 fn shutdown_and_wait(daemon: Daemon, socket: &Path) {
     let mut client = connect(socket);
     match client.request(&Request::Shutdown).expect("shutdown response") {
@@ -212,23 +221,46 @@ fn queued_run_cancelled_before_execution_resolves_with_zero_days() {
 
     // With one worker the second submission sits in the queue while the
     // first runs; cancelling it must resolve it without executing a day.
+    // The first run is far too long to finish on its own during the test
+    // (about 100,000 days of milliseconds each), and its first streamed day
+    // shows it holds the worker before the second run is even submitted.
     let mut first = connect(&socket);
     let mut second = connect(&socket);
-    let running = submit(&mut first, campaign_config(3), None);
+    let endless = RunConfig { fleet_days: 100_000, ..campaign_config(3) };
+    let running = submit(&mut first, endless, None);
+    let mut streamed = vec![next_day(&mut first, running)];
     let queued = submit(&mut second, campaign_config(5), None);
     let mut control = connect(&socket);
     match control.request(&Request::Cancel { run: queued }).expect("cancel response") {
         Response::Cancelling { run } => assert_eq!(run, queued),
         other => panic!("expected cancelling, got {other:?}"),
     }
+
+    // The running submission is untouched by its neighbour's cancellation:
+    // it keeps streaming consecutive days, and when cancelled itself it
+    // reports exactly the days it streamed.
+    for _ in 0..2 {
+        streamed.push(next_day(&mut first, running));
+    }
+    match control.request(&Request::Cancel { run: running }).expect("cancel response") {
+        Response::Cancelling { run } => assert_eq!(run, running),
+        other => panic!("expected cancelling, got {other:?}"),
+    }
+    let (days, outcome) = drain_stream(&mut first, running);
+    streamed.extend(days);
+    let numbers: Vec<u32> = streamed.iter().map(|d| d.day).collect();
+    assert_eq!(numbers, (1..=streamed.len() as u32).collect::<Vec<_>>());
+    match outcome {
+        RunOutcome::Cancelled { days_completed } => {
+            assert_eq!(days_completed as usize, streamed.len());
+        }
+        other => panic!("expected the long run cancelled, got {other:?}"),
+    }
+
+    // The worker is free again: the queued run resolves without executing.
     let (days, outcome) = drain_stream(&mut second, queued);
     assert!(days.is_empty(), "a queued-cancelled run must never execute");
     assert!(matches!(outcome, RunOutcome::Cancelled { days_completed: 0 }));
-
-    // The running submission is untouched by its neighbour's cancellation.
-    let (days, outcome) = drain_stream(&mut first, running);
-    assert_eq!(days.len(), 12);
-    assert!(matches!(outcome, RunOutcome::Ok { .. }));
     shutdown_and_wait(daemon, &socket);
     let _ = std::fs::remove_dir_all(&dir);
 }
