@@ -142,20 +142,15 @@ impl Injector {
     /// Returns an empty vector if the observed packet carries no payload
     /// (there is nothing to respond to yet).
     pub fn forge_response(&self, observed: &Packet, payload: &[u8]) -> Vec<Injection> {
-        self.forge_response_bytes(observed, Bytes::copy_from_slice(payload))
-    }
-
-    /// [`Injector::forge_response`] without the copy: spoofed segments slice
-    /// the shared payload buffer, so a master replaying a prepared object pays
-    /// no per-injection allocation.
-    pub fn forge_response_bytes(&self, observed: &Packet, payload: Bytes) -> Vec<Injection> {
         let mut injections = Vec::new();
-        self.forge_response_bytes_into(observed, payload, &mut injections);
+        self.forge_response_bytes_into(observed, Bytes::copy_from_slice(payload), &mut injections);
         injections
     }
 
-    /// [`Injector::forge_response_bytes`] appending the spoofed segments to a
-    /// caller-owned buffer (a tap's [`Tap::observe_into`] output).
+    /// [`Injector::forge_response`] without the copy, appending to a
+    /// caller-owned buffer (a tap's [`Tap::observe_into`] output): spoofed
+    /// segments slice the shared payload buffer, so a master replaying a
+    /// prepared object pays no per-injection allocation.
     pub fn forge_response_bytes_into(&self, observed: &Packet, payload: Bytes, out: &mut Vec<Injection>) {
         if observed.segment.payload.is_empty() {
             return;

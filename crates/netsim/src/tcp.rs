@@ -244,11 +244,6 @@ impl Reassembler {
         }
     }
 
-    /// The stream as one shared buffer, while it is a single held segment.
-    fn single(&self) -> Option<&Bytes> {
-        (!self.single.is_empty()).then_some(&self.single)
-    }
-
     /// Returns `true` if there are buffered out-of-order ranges waiting for a gap to fill.
     pub fn has_gaps(&self) -> bool {
         !self.pending.is_empty()
@@ -664,8 +659,8 @@ impl TcpConnection {
             self.reassembler.clear_fresh();
             return;
         }
-        if let Some(single) = self.reassembler.single() {
-            out.push(single.slice(self.delivered..));
+        if !self.reassembler.single.is_empty() {
+            out.push(self.reassembler.single.slice(self.delivered..));
         } else if self.reassembler.fresh_len() == (len - self.delivered) as u64 {
             self.reassembler.take_fresh(out);
         } else {
