@@ -895,8 +895,8 @@ impl ShardOutcome {
         let layout = seat_layout(config).map_err(|_| corrupt())?;
         let total_aps = config.fleet_aps.max(1);
 
-        let completed_days =
-            json.get("completed_days").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
+        let completed_days: u32 =
+            json.get("completed_days").and_then(Json::as_uint).ok_or_else(corrupt)?;
 
         let target_json = json.get("target").ok_or_else(corrupt)?;
         let mut target = ChurningObject::new(
@@ -904,11 +904,10 @@ impl ShardOutcome {
             StabilityClass::SlowChurn,
             mix_seed(config.seed, TARGET_TAG),
         );
-        target.day = target_json.get("day").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
-        target.renames =
-            target_json.get("renames").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
+        target.day = target_json.get("day").and_then(Json::as_uint).ok_or_else(corrupt)?;
+        target.renames = target_json.get("renames").and_then(Json::as_uint).ok_or_else(corrupt)?;
         target.content_changes =
-            target_json.get("content_changes").and_then(Json::as_u64).ok_or_else(corrupt)? as u32;
+            target_json.get("content_changes").and_then(Json::as_uint).ok_or_else(corrupt)?;
         target.current_path = target_json
             .get("current_path")
             .and_then(Json::as_str)
@@ -919,15 +918,23 @@ impl ShardOutcome {
             .and_then(Json::as_str)
             .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             .ok_or_else(corrupt)?;
+        // The target advances once per completed day and changes name or
+        // content at most once a day, so its counters cannot overflow later.
+        if target.day != completed_days
+            || target.renames > target.day
+            || target.content_changes > target.day
+        {
+            return Err(corrupt());
+        }
 
         let mut parts = Vec::new();
         for part_json in json.get("shards").and_then(Json::as_array).ok_or_else(corrupt)? {
-            let first_ap =
-                part_json.get("first_ap").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let aps = part_json.get("aps").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let seat_lo =
-                part_json.get("seat_lo").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
-            let seats = part_json.get("seats").and_then(Json::as_u64).ok_or_else(corrupt)? as usize;
+            let first_ap: usize =
+                part_json.get("first_ap").and_then(Json::as_uint).ok_or_else(corrupt)?;
+            let aps: usize = part_json.get("aps").and_then(Json::as_uint).ok_or_else(corrupt)?;
+            let seat_lo: usize =
+                part_json.get("seat_lo").and_then(Json::as_uint).ok_or_else(corrupt)?;
+            let seats: usize = part_json.get("seats").and_then(Json::as_uint).ok_or_else(corrupt)?;
             if aps == 0
                 || first_ap + aps > total_aps
                 || seat_lo != layout.offsets[first_ap]
@@ -954,7 +961,10 @@ impl ShardOutcome {
             payload_bytes: field("payload_bytes")?,
             injected_events: field("injected_events")?,
             pending_bytes_dropped: field("pending_bytes_dropped")?,
-            failed_aps: field("failed_aps")? as usize,
+            failed_aps: cumulative_json
+                .get("failed_aps")
+                .and_then(Json::as_uint)
+                .ok_or_else(corrupt)?,
         };
 
         let days = json
@@ -1674,6 +1684,28 @@ mod tests {
             &config,
             "unsupported checkpoint codec version 99",
         );
+        // Counters past u32 are rejected, not wrapped: 2^32 used to read
+        // back as the fresh state's 0.
+        for key in ["completed_days", "day", "renames", "content_changes"] {
+            let field = format!("\"{key}\":0");
+            assert!(text.contains(&field), "{field}");
+            expect_checkpoint_error(
+                "over-range.json",
+                &text.replacen(&field, &format!("\"{key}\":4294967296"), 1),
+                &config,
+                "is not a valid campaign checkpoint",
+            );
+        }
+        // A target that ran more days than the campaign completed, or that
+        // changed more often than once a day, is not a state any run leaves.
+        for (field, value) in [("\"day\":0", "\"day\":1"), ("\"renames\":0", "\"renames\":1")] {
+            expect_checkpoint_error(
+                "inconsistent.json",
+                &text.replacen(field, value, 1),
+                &config,
+                "is not a valid campaign checkpoint",
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

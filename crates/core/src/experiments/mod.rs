@@ -381,7 +381,8 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// Reads a config back from its [`ToJson`] representation. Missing keys
-    /// fall back to the defaults; wrongly-typed keys are an error.
+    /// fall back to the defaults; wrongly-typed keys, and integers out of
+    /// their field's range, are an error.
     pub fn from_json(json: &Json) -> Option<RunConfig> {
         fn field<T>(json: &Json, key: &str, default: T, get: impl Fn(&Json) -> Option<T>) -> Option<T> {
             match json.get(key) {
@@ -393,31 +394,19 @@ impl RunConfig {
         Some(RunConfig {
             seed: field(json, "seed", defaults.seed, Json::as_u64)?,
             scale: field(json, "scale", defaults.scale, Json::as_u64)?,
-            sites: field(json, "sites", defaults.sites, |v| v.as_u64().map(|n| n as usize))?,
-            crawl_sites: field(json, "crawl_sites", defaults.crawl_sites, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            days: field(json, "days", defaults.days, |v| v.as_u64().map(|n| n as u32))?,
+            sites: field(json, "sites", defaults.sites, Json::as_uint)?,
+            crawl_sites: field(json, "crawl_sites", defaults.crawl_sites, Json::as_uint)?,
+            days: field(json, "days", defaults.days, Json::as_uint)?,
             event_budget: field(json, "event_budget", defaults.event_budget, Json::as_u64)?,
             trace_mode: field(json, "trace_mode", defaults.trace_mode, |v| {
                 v.as_str().and_then(|s| s.parse::<TraceMode>().ok())
             })?,
             jitter_us: field(json, "jitter_us", defaults.jitter_us, Json::as_u64)?,
-            fleet_clients: field(json, "fleet_clients", defaults.fleet_clients, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_aps: field(json, "fleet_aps", defaults.fleet_aps, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_shards: field(json, "fleet_shards", defaults.fleet_shards, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_jobs: field(json, "fleet_jobs", defaults.fleet_jobs, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            fleet_days: field(json, "fleet_days", defaults.fleet_days, |v| {
-                v.as_u64().map(|n| n as u32)
-            })?,
+            fleet_clients: field(json, "fleet_clients", defaults.fleet_clients, Json::as_uint)?,
+            fleet_aps: field(json, "fleet_aps", defaults.fleet_aps, Json::as_uint)?,
+            fleet_shards: field(json, "fleet_shards", defaults.fleet_shards, Json::as_uint)?,
+            fleet_jobs: field(json, "fleet_jobs", defaults.fleet_jobs, Json::as_uint)?,
+            fleet_days: field(json, "fleet_days", defaults.fleet_days, Json::as_uint)?,
             fleet_churn: field(json, "fleet_churn", defaults.fleet_churn, Json::as_f64)?,
             fleet_hetero: field(json, "fleet_hetero", defaults.fleet_hetero, Json::as_bool)?,
             fleet_visit_prob: field(
@@ -432,9 +421,7 @@ impl RunConfig {
                 defaults.global_event_budget,
                 Json::as_u64,
             )?,
-            surface_trials: field(json, "surface_trials", defaults.surface_trials, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
+            surface_trials: field(json, "surface_trials", defaults.surface_trials, Json::as_uint)?,
             surface_delay_start_us: field(
                 json,
                 "surface_delay_start_us",
@@ -451,13 +438,13 @@ impl RunConfig {
                 json,
                 "surface_delay_steps",
                 defaults.surface_delay_steps,
-                |v| v.as_u64().map(|n| n as usize),
+                Json::as_uint,
             )?,
             surface_adoption_steps: field(
                 json,
                 "surface_adoption_steps",
                 defaults.surface_adoption_steps,
-                |v| v.as_u64().map(|n| n as usize),
+                Json::as_uint,
             )?,
             surface_wan_start_us: field(
                 json,
@@ -471,12 +458,18 @@ impl RunConfig {
                 defaults.surface_wan_end_us,
                 Json::as_u64,
             )?,
-            surface_wan_steps: field(json, "surface_wan_steps", defaults.surface_wan_steps, |v| {
-                v.as_u64().map(|n| n as usize)
-            })?,
-            surface_vectors: field(json, "surface_vectors", defaults.surface_vectors, |v| {
-                v.as_u64().map(|n| n as u8)
-            })?,
+            surface_wan_steps: field(
+                json,
+                "surface_wan_steps",
+                defaults.surface_wan_steps,
+                Json::as_uint,
+            )?,
+            surface_vectors: field(
+                json,
+                "surface_vectors",
+                defaults.surface_vectors,
+                Json::as_uint,
+            )?,
         })
     }
 }
@@ -1195,6 +1188,29 @@ mod tests {
             RunConfig::from_json(&Json::obj([("trace_mode", Json::Str("sometimes".into()))])),
             None
         );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_decode_errors_not_wrapped() {
+        let with = |key: &'static str, n: u64| {
+            RunConfig::from_json(&Json::obj([(key, Json::Num(n as f64))]))
+        };
+        // A cast would wrap 2^32 + 2 fleet days to a 2-day run, and 256
+        // surface vectors to 0, which selects every vector.
+        for key in ["days", "fleet_days"] {
+            assert_eq!(with(key, u64::from(u32::MAX) + 1), None, "{key}");
+            assert_eq!(with(key, 4_294_967_298), None, "{key}");
+        }
+        assert_eq!(with("surface_vectors", 256), None);
+        // The top of each range still round-trips.
+        let widest = RunConfig {
+            days: u32::MAX,
+            fleet_days: u32::MAX,
+            surface_vectors: u8::MAX,
+            ..RunConfig::default()
+        };
+        let parsed = Json::parse(&widest.to_json().to_string()).expect("well-formed JSON");
+        assert_eq!(RunConfig::from_json(&parsed), Some(widest));
     }
 
     #[test]

@@ -128,9 +128,9 @@ impl DayStats {
     /// service daemon's `day` stream messages, so clients (`mp_service`)
     /// decode with this too.
     pub fn from_json(json: &Json) -> Option<DayStats> {
-        let usize_of = |key: &str| json.get(key).and_then(Json::as_u64).map(|n| n as usize);
+        let usize_of = |key: &str| json.get(key).and_then(Json::as_uint);
         Some(DayStats {
-            day: json.get("day").and_then(Json::as_u64)? as u32,
+            day: json.get("day").and_then(Json::as_uint)?,
             departures: usize_of("departures")?,
             arrivals: usize_of("arrivals")?,
             cache_clears: usize_of("cache_clears")?,
@@ -413,6 +413,34 @@ mod tests {
         // re-running any day.
         let finished = run_campaign_with_checkpoint(&config, &path).expect("finished resume");
         assert_eq!(finished, reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_with_an_unusual_target_path_resumes_and_renames_from_the_original() {
+        // A checkpoint is untrusted: its target path may be any string, here
+        // one multi-byte character shorter than "/my.js". Seed 13 rotates
+        // the target on day 2, so the resumed run renames it.
+        let dir = std::env::temp_dir().join(format!(
+            "mp-checkpoint-test-{}-odd-path",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("campaign.ckpt.json");
+        let _ = std::fs::remove_file(&path);
+
+        let config = RunConfig { seed: 13, ..churn_config() };
+        let reference = run_campaign_with_checkpoint(&config, &path).expect("reference run");
+        assert!(reference.day_stats[1].object_rotated, "seed 13 rotates on day 2");
+
+        let mut day_one = snapshot_after(&config, 1);
+        day_one.target.current_path = "\u{e9}".to_string();
+        write_checkpoint(&path, &config, &day_one).expect("odd checkpoint written");
+        let resumed = run_campaign_with_checkpoint(&config, &path).expect("resumed run");
+        assert_eq!(resumed, reference, "the path does not steer the campaign");
+        let target = load_checkpoint(&path, &config).expect("final checkpoint").target;
+        assert_eq!(target.renames, 1);
+        assert_eq!(target.current_path, "/my.js.v1");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

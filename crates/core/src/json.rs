@@ -72,6 +72,12 @@ impl Json {
         }
     }
 
+    /// The value as an integer of type `T`, if it is a whole number in
+    /// `T`'s range: an out-of-range value is `None`, never wrapped.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        self.as_u64().and_then(|n| T::try_from(n).ok())
+    }
+
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -685,6 +685,13 @@ mod tests {
             .unwrap_err()
             .contains("unknown response type"));
         assert!(Response::parse_line("{}").unwrap_err().contains("\"type\""));
+        // An out-of-range integer is rejected, not wrapped (to a 2-day run).
+        assert!(Request::parse_line(
+            "{\"op\": \"submit\", \"experiment\": \"campaign_fleet\", \
+             \"config\": {\"fleet_days\": 4294967298}}"
+        )
+        .unwrap_err()
+        .contains("not a run configuration"));
     }
 
     #[test]

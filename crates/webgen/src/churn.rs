@@ -8,8 +8,15 @@
 //! probability of being renamed and of having its content change. The class
 //! mix is calibrated so the generated curves match the published end points
 //! (≈87.5 % name-persistent at a 5-day window, ≈75.3 % at 100 days).
+//!
+//! A rename moves an object to `"{original}.v{n}"`, with `n` its rename
+//! count, so an object's successive paths never repeat and never collide
+//! with another object's (every original path ends in `.js`). The crawler
+//! relies on this to count persistence in place, object by object, instead
+//! of comparing daily path → hash maps.
 
 use rand::Rng;
+use std::fmt::Write;
 
 /// How stable one object is over time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,15 +63,6 @@ impl StabilityClass {
             * (1.0 - self.daily_content_change_probability());
         p_keep.powi(days as i32)
     }
-}
-
-/// The state of one object on one crawl day.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectObservation {
-    /// Path (name) of the object on this day.
-    pub path: String,
-    /// Content-hash of the object on this day.
-    pub content_hash: u64,
 }
 
 /// A churning object: its identity plus the mutable state the crawler sees.
@@ -118,9 +116,14 @@ impl ChurningObject {
         self.current_hash = self.current_hash.wrapping_mul(6364136223846793005).wrapping_add(1);
     }
 
+    /// Moves the object to `"{original}.v{renames}"`, reusing the current
+    /// path's buffer. The path is rebuilt from the original rather than cut
+    /// back to it: a checkpoint may restore any string as the current path.
     fn rename(&mut self) {
         self.renames += 1;
-        self.current_path = format!("{}.v{}", self.original_path, self.renames);
+        self.current_path.clear();
+        self.current_path.push_str(&self.original_path);
+        write!(self.current_path, ".v{}", self.renames).expect("writing to a String cannot fail");
         // A rename in practice ships new content too.
         self.mutate_content();
     }
@@ -148,14 +151,6 @@ impl ChurningObject {
     /// Returns `true` if the object still has its day-zero content hash.
     pub fn hash_persistent(&self, original_hash: u64) -> bool {
         self.current_hash == original_hash
-    }
-
-    /// What the crawler records for this object today.
-    pub fn observe(&self) -> ObjectObservation {
-        ObjectObservation {
-            path: self.current_path.clone(),
-            content_hash: self.current_hash,
-        }
     }
 }
 
@@ -211,10 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn observation_reflects_current_state() {
-        let object = ChurningObject::new("/x.js", StabilityClass::SlowChurn, 7);
-        let obs = object.observe();
-        assert_eq!(obs.path, "/x.js");
-        assert_eq!(obs.content_hash, 7);
+    fn renames_suffix_the_original_path_whatever_the_current_path_holds() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut object = ChurningObject::new("/a.js", StabilityClass::FastChurn, 1);
+        // A path no rename produces, shorter than the original and
+        // multi-byte, as a restored checkpoint may carry.
+        object.current_path = "é".to_string();
+        while object.renames == 0 {
+            object.advance_day(&mut rng);
+        }
+        assert_eq!(object.current_path, "/a.js.v1");
+        while object.renames < 12 {
+            object.advance_day(&mut rng);
+        }
+        assert_eq!(object.current_path, "/a.js.v12");
     }
 }

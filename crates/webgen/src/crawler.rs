@@ -7,11 +7,19 @@
 //! its day-zero *name*, and (c) still serve at least one object with its
 //! day-zero *content hash*. This module replays that pipeline over a
 //! generated [`Population`].
+//!
+//! The crawl keeps no daily snapshots. It records every object's day-zero
+//! `(path, hash)` once and each day compares every object against its own
+//! baseline entry, in place. That equals comparing a day's path → hash map
+//! with the baseline map because a site's current paths are always
+//! distinct: every object starts under its own `.js` path, and a rename
+//! only ever moves it to `"{original}.v{n}"` with `n` increasing (see
+//! [`crate::churn`]), so no object takes another's path or returns to an
+//! old one.
 
 use crate::population::Population;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 
 /// The three series plotted in Figure 3, as percentages of all sites.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -57,17 +65,7 @@ pub struct PersistencyPoint {
     pub hash_persistent: f64,
 }
 
-/// Snapshot of one site on one day, as the crawler records it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteSnapshot {
-    /// The site host.
-    pub host: String,
-    /// Observed objects: path → content hash. Ordered so snapshot
-    /// comparisons and any future serialisation are deterministic.
-    pub objects: BTreeMap<String, u64>,
-}
-
-/// The crawler: replays `days` daily snapshots over a copy of a population.
+/// The crawler: replays a `days`-long daily crawl over a copy of a population.
 #[derive(Debug, Clone)]
 pub struct Crawler {
     population: Population,
@@ -86,25 +84,6 @@ impl Crawler {
         }
     }
 
-    /// Takes today's snapshot of every site.
-    pub fn snapshot(&self) -> Vec<SiteSnapshot> {
-        self.population
-            .sites
-            .iter()
-            .map(|site| SiteSnapshot {
-                host: site.host.clone(),
-                objects: site
-                    .objects
-                    .iter()
-                    .map(|o| {
-                        let obs = o.observe();
-                        (obs.path, obs.content_hash)
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
     /// Advances the population by one day of churn.
     pub fn advance_day(&mut self) {
         for site in &mut self.population.sites {
@@ -114,35 +93,40 @@ impl Crawler {
 
     /// Runs a `days`-long daily crawl and computes the Figure 3 series.
     ///
-    /// Day 1 is the baseline crawl; persistency on day *d* compares day *d*'s
-    /// snapshot against the baseline.
+    /// Day 1 is the baseline crawl; persistency on day *d* compares every
+    /// object's day-*d* path and hash against its own baseline entry.
     pub fn run(&mut self, days: u32) -> PersistencySeries {
-        let baseline = self.snapshot();
-        let total_sites = baseline.len() as f64;
+        let baseline: Vec<(String, u64)> = self
+            .population
+            .sites
+            .iter()
+            .flat_map(|site| site.objects.iter().map(|o| (o.current_path.clone(), o.current_hash)))
+            .collect();
+        let total_sites = self.population.sites.len() as f64;
         let mut series = PersistencySeries::default();
 
         for day in 1..=days {
             if day > 1 {
                 self.advance_day();
             }
-            let today = self.snapshot();
             let mut any_js = 0usize;
             let mut name_persistent = 0usize;
             let mut hash_persistent = 0usize;
-            for (base, now) in baseline.iter().zip(today.iter()) {
-                if !now.objects.is_empty() {
-                    any_js += 1;
+            let mut offset = 0;
+            for site in &self.population.sites {
+                let base = &baseline[offset..offset + site.objects.len()];
+                offset += base.len();
+                let mut kept_name = false;
+                let mut kept_hash = false;
+                for (object, (path, hash)) in site.objects.iter().zip(base) {
+                    if object.current_path == *path {
+                        kept_name = true;
+                        kept_hash |= object.current_hash == *hash;
+                    }
                 }
-                if base.objects.keys().any(|path| now.objects.contains_key(path)) {
-                    name_persistent += 1;
-                }
-                if base
-                    .objects
-                    .iter()
-                    .any(|(path, hash)| now.objects.get(path) == Some(hash))
-                {
-                    hash_persistent += 1;
-                }
+                any_js += usize::from(!site.objects.is_empty());
+                name_persistent += usize::from(kept_name);
+                hash_persistent += usize::from(kept_hash);
             }
             series.days.push(day);
             series.any_js.push(100.0 * any_js as f64 / total_sites);
@@ -157,6 +141,77 @@ impl Crawler {
 mod tests {
     use super::*;
     use crate::population::PopulationConfig;
+    use std::collections::BTreeMap;
+
+    /// The snapshot crawl `Crawler::run` replaced, kept as its oracle: a
+    /// path → hash map per site per day, compared with the baseline maps by
+    /// key lookup.
+    fn snapshot_crawl(mut crawler: Crawler, days: u32) -> PersistencySeries {
+        fn snapshot(crawler: &Crawler) -> Vec<BTreeMap<String, u64>> {
+            crawler
+                .population
+                .sites
+                .iter()
+                .map(|site| {
+                    site.objects
+                        .iter()
+                        .map(|o| (o.current_path.clone(), o.current_hash))
+                        .collect()
+                })
+                .collect()
+        }
+        let baseline = snapshot(&crawler);
+        let total_sites = baseline.len() as f64;
+        let mut series = PersistencySeries::default();
+        for day in 1..=days {
+            if day > 1 {
+                crawler.advance_day();
+            }
+            let today = snapshot(&crawler);
+            let mut counts = [0usize; 3];
+            for (base, now) in baseline.iter().zip(today.iter()) {
+                counts[0] += usize::from(!now.is_empty());
+                counts[1] += usize::from(base.keys().any(|path| now.contains_key(path)));
+                counts[2] +=
+                    usize::from(base.iter().any(|(path, hash)| now.get(path) == Some(hash)));
+            }
+            series.days.push(day);
+            series.any_js.push(100.0 * counts[0] as f64 / total_sites);
+            series.name_persistent.push(100.0 * counts[1] as f64 / total_sites);
+            series.hash_persistent.push(100.0 * counts[2] as f64 / total_sites);
+        }
+        series
+    }
+
+    #[test]
+    fn in_place_counts_equal_the_snapshot_crawl() {
+        for seed in [1, 7, 42, 2021, 4242, 9001] {
+            for (sites, days) in [(3000, 100), (400, 365), (50, 1000)] {
+                let population = Population::generate(PopulationConfig::small(sites, seed));
+                let expected = snapshot_crawl(Crawler::new(population.clone()), days);
+                assert_eq!(
+                    Crawler::new(population).run(days),
+                    expected,
+                    "seed {seed}, {sites} sites, {days} days"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_counts_equal_the_snapshot_crawl_from_a_churned_baseline() {
+        // Day zero of this crawl already carries renamed paths ("….v1").
+        let mut population = Population::generate(PopulationConfig::small(1000, 42));
+        let mut rng = StdRng::seed_from_u64(10);
+        for _ in 0..10 {
+            for site in &mut population.sites {
+                site.advance_day(&mut rng);
+            }
+        }
+        assert!(population.sites.iter().flat_map(|s| &s.objects).any(|o| o.renames > 0));
+        let expected = snapshot_crawl(Crawler::new(population.clone()), 100);
+        assert_eq!(Crawler::new(population).run(100), expected);
+    }
 
     fn series(sites: usize, days: u32) -> PersistencySeries {
         let population = Population::generate(PopulationConfig::small(sites, 42));

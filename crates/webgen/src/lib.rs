@@ -11,8 +11,10 @@
 //!
 //! * [`population`] — site generation (TLS deployment, HSTS, CSP, analytics
 //!   usage, JavaScript objects) and materialisation as servable origins,
-//! * [`churn`] — per-object rename / content-change processes,
+//! * [`churn`] — per-object rename / content-change processes (a rename
+//!   appends `.v{n}` to the original path, so a site's paths stay distinct),
 //! * [`crawler`] — the 100-day daily crawl and Figure 3 persistency series,
+//!   counted in place against each object's day-zero path and hash,
 //! * [`policy`] — the HTTPS/SSL, HSTS and CSP scans (Figure 5).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,6 +4,7 @@
 //! through the experiment registry.
 
 use parasite::experiments::{run_many, ExperimentId, Fig3Result, Fig5Result, Registry, RunConfig};
+use parasite::json::ToJson;
 
 fn run_fig3(config: &RunConfig) -> Fig3Result {
     Registry::get(ExperimentId::Fig3)
@@ -108,4 +109,21 @@ fn multi_seed_sweeps_run_in_parallel_and_stay_per_seed_deterministic() {
         artifacts[1].data.as_fig3().unwrap().series,
         "different seeds should generate different populations"
     );
+}
+
+/// FNV-1a 64 of the default-config Figure 3 artifact's JSON, captured from
+/// the snapshot-based crawler before it was replaced by in-place counting.
+const GOLDEN_FIG3_DIGEST: u64 = 0x188d_b568_8ffb_bb0e;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn default_figure3_artifact_matches_the_snapshot_crawler_golden() {
+    let artifact = Registry::get(ExperimentId::Fig3).run(&RunConfig::default());
+    let json = artifact.to_json().to_string();
+    assert_eq!(fnv1a(json.as_bytes()), GOLDEN_FIG3_DIGEST, "{:#018x}", fnv1a(json.as_bytes()));
 }
